@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-def _check_b0(b0, omega: float):
+def _check_width(b0):
     # Python and numpy scalars skip numpy dispatch: this runs once per
     # closed-form evaluation on the oracle's hot path
     if isinstance(b0, (complex, float, int)):
@@ -52,6 +52,9 @@ def _check_b0(b0, omega: float):
         valid = bool(np.all(b.imag > 0)) and bool(np.all(np.isfinite(b)))
     if not valid:
         raise ValueError(f"b0 must be finite with Im b0 > 0, got {b0}")
+
+
+def _check_omega(omega: float):
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
 
@@ -69,7 +72,8 @@ def b_evolution(b0: complex | np.ndarray, omega: float, z):
     has the broadcast shape. Every entry of ``b0`` must be finite with
     Im B0 > 0, otherwise ``ValueError`` is raised.
     """
-    _check_b0(b0, omega)
+    _check_width(b0)
+    _check_omega(omega)
     c = np.cos(omega * z)
     s = np.sin(omega * z)
     return omega * (b0 * c - omega * s) / (b0 * s + omega * c)
@@ -84,7 +88,8 @@ def forcing_ratio(b0: complex, omega: float, z):
     Pure 2 omega oscillation; identically zero for the stationary width
     B0 = i omega. ``b0`` must be a scalar (``z`` may be an array).
     """
-    _check_b0(b0, omega)
+    _check_width(b0)
+    _check_omega(omega)
     s_coeff, c_coeff = _forcing_coeffs(b0, omega)
     return s_coeff * np.sin(2.0 * omega * z) + c_coeff * np.cos(2.0 * omega * z)
 
@@ -173,7 +178,8 @@ def _driven_solution(
     # exact solution of q'' = -omega^2 q + forcing_factor * gamma * (Re B / Im B)(z)
     # with q(0) = q0, q'(0) = p0 + gamma / Im B0; the 2 omega drive meets the
     # harmonic response 1 / (omega^2 - (2 omega)^2) = -1 / (3 omega^2)
-    _check_b0(b0, omega)
+    _check_width(b0)
+    _check_omega(omega)
     b0 = complex(b0)
     s_coeff, c_coeff = _forcing_coeffs(b0, omega)
     scale = -forcing_factor * gamma / (3.0 * omega * omega)
@@ -327,9 +333,7 @@ def short_distance(
     in the local gain slope and quadratic in the initial beam width,
     which is what makes width filtering possible.
     """
-    b0 = complex(b0)
-    if not b0.imag > 0:
-        raise ValueError(f"Im b0 must be positive, got {b0}")
+    _check_width(b0)
     q = q0 + (p0 + gamma / b0.imag) * z
     p = p0 - (omega * omega * q0 - gamma * b0.real / b0.imag) * z
     norm_ratio = 1.0 + (gamma / hbar) * q0 * z
@@ -337,10 +341,12 @@ def short_distance(
 
 
 def width_drift_rate(b0: complex, gamma: float) -> float:
-    """Width-induced drift rate gamma / Im B0 = 2 gamma (delta q)^2."""
-    b0 = complex(b0)
-    if not b0.imag > 0:
-        raise ValueError(f"Im b0 must be positive, got {b0}")
+    """Width-induced drift rate gamma / Im B0 = 2 gamma (delta q)^2.
+
+    ``b0`` is a scalar or an array; every entry must be finite with
+    Im B0 > 0, otherwise ``ValueError`` is raised.
+    """
+    _check_width(b0)
     return gamma / b0.imag
 
 

@@ -3,11 +3,18 @@
 A configuration document fully determines a run; unknown keys are errors
 so that a typo in a physics parameter cannot silently fall back to a
 default. Complex numbers are written as two-element [re, im] arrays.
+
+Each config class declares every field together with its parser
+(``_field``). ``__post_init__`` runs the parsers, so a config built in
+Python and one read from JSON pass the same checks, and every bad value
+ends as a ConfigError.
 """
 
+import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
 from .grid import GridSpec
@@ -36,14 +43,24 @@ SCHEMA_VERSION = 1
 
 PROPAGATORS = ("gaussian", "grid", "oracle")
 
-_POTENTIAL_FIELDS = {
-    "pt_tanh_gaussian": ("gamma", "omega", "eta"),
-    "quadratic_linear": ("omega", "gamma"),
-    "free_space": (),
+_POTENTIALS = {
+    "pt_tanh_gaussian": (PtTanhGaussian, ("gamma", "omega", "eta")),
+    "quadratic_linear": (QuadraticLinear, ("omega", "gamma")),
+    "free_space": (FreeSpace, ()),
 }
 
 
-def _check_keys(d: dict, allowed, required, where: str):
+@contextmanager
+def _config_errors(prefix: str = ""):
+    # the constructors of GridSpec, PhysicalConstants and the potentials
+    # raise ValueError; a config reports it as a ConfigError on its field
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _check_keys(d, allowed, required, where: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
     unknown = set(d) - set(allowed)
@@ -54,51 +71,126 @@ def _check_keys(d: dict, allowed, required, where: str):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _number(d: dict, key: str, where: str) -> float:
-    v = d[key]
+def _keys(cls):
+    """Field names of a config class, and those without a default."""
+    names = [f.name for f in fields(cls)]
+    return names, [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    ]
+
+
+# Parsers: (value, field name) -> normalized value, or ConfigError.
+
+
+def _number(v, name: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    if not math.isfinite(v):
-        raise ConfigError(f"{where}.{key} must be finite, got {v!r}")
-    return float(v)
+        raise ConfigError(f"{name} must be a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {x}")
+    return x
 
 
-def _complex_pair(v, where: str) -> complex:
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)
-    ):
-        raise ConfigError(f"{where} must be a two-element [re, im] array, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+def _positive(v, name: str) -> float:
+    x = _number(v, name)
+    if not x > 0:
+        raise ConfigError(f"{name} must be positive, got {x}")
+    return x
 
 
-def _validate_potential(spec: dict) -> dict:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("potential must be an object with a 'kind' key")
-    kind = spec["kind"]
-    if kind not in _POTENTIAL_FIELDS:
+def _non_negative(v, name: str) -> float:
+    x = _number(v, name)
+    if x < 0:
+        raise ConfigError(f"{name} must be >= 0, got {x}")
+    return x
+
+
+def _count(v, name: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+    return v
+
+
+def _boolean(v, name: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{name} must be true or false, got {v!r}")
+    return v
+
+
+def _text(v, name: str) -> str:
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{name} must be a non-empty string, got {v!r}")
+    return v
+
+
+def _width(v, name: str) -> complex:
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        v = complex(_number(v[0], f"{name}[0]"), _number(v[1], f"{name}[1]"))
+    if not isinstance(v, complex) or not (cmath.isfinite(v) and v.imag > 0):
+        raise ConfigError(f"{name} must be a finite [re, im] with Im {name} > 0, got {v!r}")
+    return complex(v)
+
+
+def _propagator(v, name: str) -> str:
+    if not isinstance(v, str) or v not in PROPAGATORS:
+        raise ConfigError(f"unknown propagator {v!r} in {name}; expected one of {PROPAGATORS}")
+    return v
+
+
+def _optional(parse):
+    return lambda v, name: None if v is None else parse(v, name)
+
+
+def _array(item):
+    def parse(v, name: str) -> tuple:
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ConfigError(f"{name} must be a non-empty array, got {v!r}")
+        return tuple(item(x, f"{name}[{i}]") for i, x in enumerate(v))
+
+    return parse
+
+
+def _record(cls, item=None):
+    """An instance of ``cls``, or an object of its fields.
+
+    ``item`` parses each field of a class that does not parse its own.
+    """
+
+    def parse(v, name: str):
+        if isinstance(v, cls):
+            return v
+        _check_keys(v, *_keys(cls), name)
+        with _config_errors(f"{name}."):
+            return cls(**(v if item is None else {k: item(x, k) for k, x in v.items()}))
+
+    return parse
+
+
+def _base_potential(spec: dict) -> Potential:
+    cls, params = _POTENTIALS[spec["kind"]]
+    return cls(**{k: spec[k] for k in params})
+
+
+def _potential(v, name: str) -> dict:
+    kind = v.get("kind") if isinstance(v, dict) else None
+    if not isinstance(kind, str) or kind not in _POTENTIALS:
         raise ConfigError(
-            f"unknown potential kind {kind!r}; expected one of {sorted(_POTENTIAL_FIELDS)}"
+            f"{name} must be an object whose 'kind' is one of {sorted(_POTENTIALS)}, got {v!r}"
         )
-    fields = _POTENTIAL_FIELDS[kind]
-    _check_keys(spec, ("kind", "hermitian", *fields), ("kind", *fields), "potential")
-    out = {"kind": kind}
-    for name in fields:
-        out[name] = _number(spec, name, "potential")
-    out["hermitian"] = bool(spec.get("hermitian", False))
-    return out
+    params = _POTENTIALS[kind][1]
+    _check_keys(v, ("kind", "hermitian", *params), params, name)
+    spec = {"kind": kind, **{k: _number(v[k], f"{name}.{k}") for k in params}}
+    spec["hermitian"] = _boolean(v.get("hermitian", False), f"{name}.hermitian")
+    with _config_errors(f"{name}."):
+        _base_potential(spec)
+    return spec
 
 
 def build_potential(spec: dict) -> Potential:
-    spec = _validate_potential(spec)
-    kind = spec["kind"]
-    if kind == "pt_tanh_gaussian":
-        base = PtTanhGaussian(gamma=spec["gamma"], omega=spec["omega"], eta=spec["eta"])
-    elif kind == "quadratic_linear":
-        base = QuadraticLinear(omega=spec["omega"], gamma=spec["gamma"])
-    else:
-        base = FreeSpace()
+    base = _base_potential(spec)
     return hermitian_variant(base) if spec["hermitian"] else base
 
 
@@ -108,188 +200,108 @@ def _default_half_width(potential: dict) -> float:
     return 20.0
 
 
-@dataclass(frozen=True)
-class InitialBeam:
-    q0: float
-    p0: float
-    b0: complex
-    norm0: float = 1.0
-    alpha0: float = 0.0
+def _field(parse, default=MISSING, default_factory=MISSING):
+    """A config field and the parser that validates and normalizes it."""
+    return field(default=default, default_factory=default_factory, metadata={"parse": parse})
+
+
+def _plain(value):
+    """JSON form of a parsed config value."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _document(d, cls, where: str) -> dict:
+    """Fields of a top-level config document, after the key and version checks."""
+    allowed, required = _keys(cls)
+    _check_keys(d, ("schema_version", *allowed), ("schema_version", *required), where)
+    if _count(d["schema_version"], "schema_version") != SCHEMA_VERSION:
+        raise ConfigError(
+            f"unsupported schema_version {d['schema_version']!r}; expected {SCHEMA_VERSION}"
+        )
+    return {k: v for k, v in d.items() if k != "schema_version"}
+
+
+class _Record:
+    """Base of the config classes: parse every field, then check across fields."""
 
     def __post_init__(self):
-        if not complex(self.b0).imag > 0:
-            raise ConfigError(f"Im b0 must be positive, got {self.b0}")
-        if self.norm0 < 0:
-            raise ConfigError(f"norm0 must be >= 0, got {self.norm0}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, f.metadata["parse"](getattr(self, f.name), f.name))
+        with _config_errors():
+            self._complete()
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InitialBeam":
-        _check_keys(d, ("q0", "p0", "b0", "norm0", "alpha0"), ("q0", "p0", "b0"), "initial")
-        beam = {
-            "q0": _number(d, "q0", "initial"),
-            "p0": _number(d, "p0", "initial"),
-            "b0": _complex_pair(d["b0"], "initial.b0"),
-        }
-        if "norm0" in d:
-            beam["norm0"] = _number(d, "norm0", "initial")
-        if "alpha0" in d:
-            beam["alpha0"] = _number(d, "alpha0", "initial")
-        return cls(**beam)
+    def _complete(self):
+        """Checks across fields and defaults derived from other fields."""
 
     def to_dict(self) -> dict:
-        return {
-            "q0": self.q0,
-            "p0": self.p0,
-            "b0": [self.b0.real, self.b0.imag],
-            "norm0": self.norm0,
-            "alpha0": self.alpha0,
-        }
+        return _plain(self)
 
 
 @dataclass(frozen=True)
-class GaussianSettings:
-    dz: float = 1e-3
-
-    def __post_init__(self):
-        if not self.dz > 0:
-            raise ConfigError(f"gaussian.dz must be positive, got {self.dz}")
+class InitialBeam(_Record):
+    q0: float = _field(_number)
+    p0: float = _field(_number)
+    b0: complex = _field(_width)
+    norm0: float = _field(_non_negative, 1.0)
+    alpha0: float = _field(_number, 0.0)
 
 
 @dataclass(frozen=True)
-class GridSettings:
-    half_width: float
-    n_points: int = 4096
-    dz: float = 1e-3
+class GaussianSettings(_Record):
+    dz: float = _field(_positive, 1e-3)
 
-    def __post_init__(self):
-        if not self.dz > 0:
-            raise ConfigError(f"grid.dz must be positive, got {self.dz}")
-        try:
-            GridSpec(self.half_width, self.n_points)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+
+@dataclass(frozen=True)
+class GridSettings(_Record):
+    # None: derived from the scenario's potential (see ScenarioConfig)
+    half_width: float | None = _field(_optional(_positive), None)
+    n_points: int = _field(_count, 4096)
+    dz: float = _field(_positive, 1e-3)
+
+    def _complete(self):
+        if self.half_width is not None:
+            self.spec()
 
     def spec(self) -> GridSpec:
         return GridSpec(self.half_width, self.n_points)
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    name: str
-    potential: dict
-    initial: InitialBeam
-    propagators: tuple = ("gaussian", "grid")
-    z_max: float = 30.0
-    gaussian: GaussianSettings = GaussianSettings()
-    grid: GridSettings | None = None
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
-    sample_stride: int = 100
-    heatmap: bool = False
+class ScenarioConfig(_Record):
+    name: str = _field(_text)
+    potential: dict = _field(_potential)
+    initial: InitialBeam = _field(_record(InitialBeam))
+    propagators: tuple = _field(_array(_propagator), ("gaussian", "grid"))
+    z_max: float = _field(_positive, 30.0)
+    gaussian: GaussianSettings = _field(_record(GaussianSettings), GaussianSettings())
+    grid: GridSettings = _field(_record(GridSettings), GridSettings())
+    constants: PhysicalConstants = _field(_record(PhysicalConstants, _number), DEFAULT_CONSTANTS)
+    sample_stride: int = _field(_count, 100)
+    heatmap: bool = _field(_boolean, False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "potential", _validate_potential(self.potential))
-        if not self.name:
-            raise ConfigError("scenario name must be non-empty")
-        props = tuple(self.propagators)
-        if not props or len(set(props)) != len(props):
-            raise ConfigError(f"propagators must be a non-empty set, got {props!r}")
-        for p in props:
-            if p not in PROPAGATORS:
-                raise ConfigError(f"unknown propagator {p!r}; expected one of {PROPAGATORS}")
-        if "oracle" in props and self.potential["kind"] != "quadratic_linear":
+    def _complete(self):
+        if len(set(self.propagators)) != len(self.propagators):
+            raise ConfigError(f"propagators must not repeat, got {list(self.propagators)}")
+        if "oracle" in self.propagators and self.potential["kind"] != "quadratic_linear":
             raise ConfigError("the oracle propagator requires a quadratic_linear potential")
-        object.__setattr__(self, "propagators", props)
-        if not self.z_max > 0:
-            raise ConfigError(f"z_max must be positive, got {self.z_max}")
-        if not (isinstance(self.sample_stride, int) and self.sample_stride >= 1):
-            raise ConfigError(f"sample_stride must be an integer >= 1, got {self.sample_stride}")
-        if self.grid is None:
-            object.__setattr__(
-                self, "grid", GridSettings(half_width=_default_half_width(self.potential))
-            )
+        if self.grid.half_width is None:
+            grid = replace(self.grid, half_width=_default_half_width(self.potential))
+            object.__setattr__(self, "grid", grid)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        _check_keys(
-            d,
-            (
-                "schema_version", "name", "potential", "initial", "propagators",
-                "z_max", "gaussian", "grid", "constants", "sample_stride", "heatmap",
-            ),
-            ("schema_version", "name", "potential", "initial"),
-            "scenario",
-        )
-        if d["schema_version"] != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema_version {d['schema_version']!r}; expected {SCHEMA_VERSION}"
-            )
-        kwargs = {
-            "name": d["name"],
-            "potential": d["potential"],
-            "initial": InitialBeam.from_dict(d["initial"]),
-        }
-        if not isinstance(kwargs["name"], str):
-            raise ConfigError(f"name must be a string, got {kwargs['name']!r}")
-        if "propagators" in d:
-            if not isinstance(d["propagators"], list):
-                raise ConfigError("propagators must be an array of names")
-            kwargs["propagators"] = tuple(d["propagators"])
-        if "z_max" in d:
-            kwargs["z_max"] = _number(d, "z_max", "scenario")
-        if "gaussian" in d:
-            _check_keys(d["gaussian"], ("dz",), (), "gaussian")
-            kwargs["gaussian"] = GaussianSettings(
-                **{k: _number(d["gaussian"], k, "gaussian") for k in d["gaussian"]}
-            )
-        if "grid" in d:
-            _check_keys(d["grid"], ("half_width", "n_points", "dz"), (), "grid")
-            g = dict(d["grid"])
-            if "half_width" not in g:
-                g["half_width"] = _default_half_width(_validate_potential(d["potential"]))
-            if "n_points" in g:
-                n = g["n_points"]
-                if isinstance(n, bool) or not isinstance(n, int):
-                    raise ConfigError(f"grid.n_points must be an integer, got {n!r}")
-            if "dz" in g:
-                g["dz"] = _number(g, "dz", "grid")
-            kwargs["grid"] = GridSettings(**g)
-        if "constants" in d:
-            _check_keys(d["constants"], ("hbar", "n_zero"), (), "constants")
-            try:
-                kwargs["constants"] = PhysicalConstants(
-                    **{k: _number(d["constants"], k, "constants") for k in d["constants"]}
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if "sample_stride" in d:
-            s = d["sample_stride"]
-            if isinstance(s, bool) or not isinstance(s, int):
-                raise ConfigError(f"sample_stride must be an integer, got {s!r}")
-            kwargs["sample_stride"] = s
-        if "heatmap" in d:
-            if not isinstance(d["heatmap"], bool):
-                raise ConfigError(f"heatmap must be a boolean, got {d['heatmap']!r}")
-            kwargs["heatmap"] = d["heatmap"]
-        return cls(**kwargs)
+        return cls(**_document(d, cls, "scenario"))
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "potential": dict(self.potential),
-            "initial": self.initial.to_dict(),
-            "propagators": list(self.propagators),
-            "z_max": self.z_max,
-            "gaussian": {"dz": self.gaussian.dz},
-            "grid": {
-                "half_width": self.grid.half_width,
-                "n_points": self.grid.n_points,
-                "dz": self.grid.dz,
-            },
-            "constants": {"hbar": self.constants.hbar, "n_zero": self.constants.n_zero},
-            "sample_stride": self.sample_stride,
-            "heatmap": self.heatmap,
-        }
+        return {"schema_version": SCHEMA_VERSION, **_plain(self)}
 
     def build_potential(self) -> Potential:
         return build_potential(self.potential)
@@ -317,89 +329,34 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(_Record):
     """Configuration of a width-filtering experiment."""
 
-    name: str
-    widths: tuple
-    q0: float = 0.0
-    p0: float = 0.0
-    potential: dict = field(
-        default_factory=lambda: {"kind": "quadratic_linear", "omega": 1.0, "gamma": 1.0}
+    name: str = _field(_text)
+    widths: tuple = _field(_array(_width))
+    q0: float = _field(_number, 0.0)
+    p0: float = _field(_number, 0.0)
+    potential: dict = _field(
+        _potential,
+        default_factory=lambda: {"kind": "quadratic_linear", "omega": 1.0, "gamma": 1.0},
     )
-    z_max: float = 1.0
-    dz: float = 1e-4
-    probe_z: tuple = (1e-3, 1e-2)
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
+    z_max: float = _field(_positive, 1.0)
+    dz: float = _field(_positive, 1e-4)
+    probe_z: tuple = _field(_array(_positive), (1e-3, 1e-2))
+    constants: PhysicalConstants = _field(_record(PhysicalConstants, _number), DEFAULT_CONSTANTS)
 
-    def __post_init__(self):
-        object.__setattr__(self, "potential", _validate_potential(self.potential))
-        widths = tuple(complex(w) for w in self.widths)
-        if len(widths) < 2:
+    def _complete(self):
+        if len(self.widths) < 2:
             raise ConfigError("filter experiment needs at least two widths")
-        for w in widths:
-            if not w.imag > 0:
-                raise ConfigError(f"all widths must have Im b0 > 0, got {w}")
-        object.__setattr__(self, "widths", widths)
-        if not self.z_max > 0 or not self.dz > 0:
-            raise ConfigError("z_max and dz must be positive")
-        probes = tuple(float(p) for p in self.probe_z)
-        if not probes or any(not 0 < p <= self.z_max for p in probes):
+        if any(p > self.z_max for p in self.probe_z):
             raise ConfigError("probe_z values must lie in (0, z_max]")
-        object.__setattr__(self, "probe_z", probes)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterConfig":
-        _check_keys(
-            d,
-            (
-                "schema_version", "name", "widths", "q0", "p0", "potential",
-                "z_max", "dz", "probe_z", "constants",
-            ),
-            ("schema_version", "name", "widths"),
-            "filter",
-        )
-        if d["schema_version"] != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema_version {d['schema_version']!r}; expected {SCHEMA_VERSION}"
-            )
-        if not isinstance(d["widths"], list):
-            raise ConfigError("widths must be an array of [re, im] pairs")
-        kwargs = {
-            "name": d["name"],
-            "widths": tuple(
-                _complex_pair(w, f"widths[{i}]") for i, w in enumerate(d["widths"])
-            ),
-        }
-        for key in ("q0", "p0", "z_max", "dz"):
-            if key in d:
-                kwargs[key] = _number(d, key, "filter")
-        if "potential" in d:
-            kwargs["potential"] = d["potential"]
-        if "probe_z" in d:
-            if not isinstance(d["probe_z"], list):
-                raise ConfigError("probe_z must be an array of numbers")
-            kwargs["probe_z"] = tuple(d["probe_z"])
-        if "constants" in d:
-            _check_keys(d["constants"], ("hbar", "n_zero"), (), "constants")
-            kwargs["constants"] = PhysicalConstants(
-                **{k: _number(d["constants"], k, "constants") for k in d["constants"]}
-            )
-        return cls(**kwargs)
+        return cls(**_document(d, cls, "filter"))
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "widths": [[w.real, w.imag] for w in self.widths],
-            "q0": self.q0,
-            "p0": self.p0,
-            "potential": dict(self.potential),
-            "z_max": self.z_max,
-            "dz": self.dz,
-            "probe_z": list(self.probe_z),
-            "constants": {"hbar": self.constants.hbar, "n_zero": self.constants.n_zero},
-        }
+        return {"schema_version": SCHEMA_VERSION, **_plain(self)}
 
     def build_potential(self) -> Potential:
         return build_potential(self.potential)
@@ -411,7 +368,8 @@ def _load_json(path) -> dict:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and over-long integer literals
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NarrowGridWarning, NumericalAbortError, WidthCollapseError
-from .grid import GridSpec, GridState
+from .grid import GridSpec, GridState, schedule
 from .potentials import DEFAULT_CONSTANTS, PhysicalConstants, Potential, PotentialSample
 
 __all__ = [
@@ -189,26 +189,19 @@ def integrate(
 ) -> Trajectory:
     """Propagate the Gaussian parameters to z_max with fixed-step RK4.
 
-    Samples are recorded every ``sample_stride`` steps plus the final
-    point. The step count is n = round(z_max / dz) with effective step
-    z_max / n, so the trajectory ends exactly at z_max.
+    Steps and samples follow :func:`gainbeam.grid.schedule`, so the
+    trajectory starts at z = 0 and ends exactly at z_max.
 
     Raises WidthCollapseError if Im B <= 0 at any stage evaluation and
     NumericalAbortError if the state becomes non-finite; both carry the
     z reached and the partial trajectory.
     """
-    if not z_max > 0:
-        raise ValueError(f"z_max must be positive, got {z_max}")
-    if not dz > 0:
-        raise ValueError(f"dz must be positive, got {dz}")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    n_steps, dz_eff, sample_steps = schedule(z_max, dz, sample_stride)
     _require_width(initial.b, z=0.0)
     if initial.norm < 0 or not math.isfinite(initial.norm):
         raise ValueError(f"norm must be finite and >= 0, got {initial.norm}")
 
-    n_steps = max(1, round(z_max / dz))
-    dz_eff = z_max / n_steps
+    sampled = set(sample_steps)
     hbar = constants.hbar
     sample = potential.sample
 
@@ -270,7 +263,7 @@ def integrate(
             raise WidthCollapseError(
                 f"Im B reached {bi:.6g} at z={z_now:.6g}", z=z_now, partial=traj
             )
-        if step % sample_stride == 0 or step == n_steps:
+        if step in sampled:
             traj.samples.append(
                 (
                     z_now,

@@ -29,6 +29,7 @@ __all__ = [
     "GridState",
     "GridObservables",
     "propagate",
+    "schedule",
     "observables",
     "renormalized_intensity",
     "EDGE_FRACTION",
@@ -139,6 +140,28 @@ def renormalized_intensity(state: GridState) -> np.ndarray:
     return density / mass
 
 
+def schedule(z_max: float, dz: float, stride: int):
+    """Step count, effective step and sampled step indices of one propagation.
+
+    The step count is n = round(z_max / dz), at least 1, and the effective
+    step z_max / n, so the last step lands exactly on z_max. Samples are
+    taken at every ``stride``-th step from step 0 (the initial state) and
+    at step n. Returns (n, z_max / n, sample_steps) with sample_steps an
+    increasing list of step numbers; step k sits at z = k * z_max / n.
+    """
+    if not z_max > 0:
+        raise ValueError(f"z_max must be positive, got {z_max}")
+    if not dz > 0:
+        raise ValueError(f"dz must be positive, got {dz}")
+    if stride < 1:
+        raise ValueError(f"sample_stride must be >= 1, got {stride}")
+    n_steps = max(1, round(z_max / dz))
+    steps = list(range(0, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return n_steps, z_max / n_steps, steps
+
+
 def propagate(
     initial: GridState,
     potential: Potential,
@@ -149,25 +172,17 @@ def propagate(
 ):
     """Propagate a grid state to z_max, returning [(z, GridState), ...].
 
-    Samples are recorded every ``sample_stride`` steps plus the final
-    point; the first sample is the initial state at z = 0. The step count
-    is n = round(z_max / dz) and the effective step z_max / n, so the
-    final sample lands exactly on z_max.
+    Samples follow :func:`schedule`: the first is the initial state at
+    z = 0 and the last lands exactly on z_max.
 
     Raises NumericalAbortError if the field becomes non-finite (gain
-    overflow); emits BoundaryContaminationWarning on any sample with more
-    than 1% of |psi|^2 in the outer 5% of the domain.
+    overflow). Samples with more than 1% of |psi|^2 in the outer 5% of the
+    domain are counted, and one BoundaryContaminationWarning per call
+    reports their number, the first z and the largest edge mass, also
+    when the run aborts.
     """
-    if not z_max > 0:
-        raise ValueError(f"z_max must be positive, got {z_max}")
-    if not dz > 0:
-        raise ValueError(f"dz must be positive, got {dz}")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-
+    n_steps, dz_eff, sample_steps = schedule(z_max, dz, sample_stride)
     spec = initial.spec
-    n_steps = max(1, round(z_max / dz))
-    dz_eff = z_max / n_steps
 
     v = np.asarray(potential.value(spec.positions()), dtype=complex)
     if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
@@ -179,27 +194,9 @@ def propagate(
     edge_mask = _edge_mask(spec)
     psi = initial.amplitudes.astype(complex, copy=True)
     samples = [(0.0, GridState(spec, psi.copy(), 0.0))]
-
-    def check_and_record(z_now: float):
-        if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
-            raise NumericalAbortError(
-                f"field became non-finite by z={z_now:.6g} (gain overflow?)",
-                z=z_now,
-                partial=samples,
-            )
-        density = np.abs(psi) ** 2
-        mass = density.sum()
-        if mass > 0.0:
-            edge = density[edge_mask].sum() / mass
-            if edge > EDGE_MASS_LIMIT:
-                warnings.warn(
-                    f"{edge:.3g} of |psi|^2 in the outer {EDGE_FRACTION:.0%} of the "
-                    f"domain at z={z_now:.6g}; results may be contaminated by the "
-                    "periodic boundary",
-                    BoundaryContaminationWarning,
-                    stacklevel=3,
-                )
-        samples.append((z_now, GridState(spec, psi.copy(), z_now)))
+    sampled = set(sample_steps)
+    contaminated = []  # (z, edge mass) of every flagged sample
+    aborted_at = None
 
     fft, ifft = np.fft.fft, np.fft.ifft
     # overflow is detected via the finiteness check at sample times
@@ -208,6 +205,32 @@ def propagate(
             psi *= half_potential
             psi = ifft(kinetic * fft(psi))
             psi *= half_potential
-            if step % sample_stride == 0 or step == n_steps:
-                check_and_record(step * dz_eff)
+            if step not in sampled:
+                continue
+            z_now = step * dz_eff
+            if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
+                aborted_at = z_now
+                break
+            density = np.abs(psi) ** 2
+            mass = density.sum()
+            if mass > 0.0:
+                edge = density[edge_mask].sum() / mass
+                if edge > EDGE_MASS_LIMIT:
+                    contaminated.append((z_now, edge))
+            samples.append((z_now, GridState(spec, psi.copy(), z_now)))
+    if contaminated:
+        warnings.warn(
+            f"{len(contaminated)} samples hold more than {EDGE_MASS_LIMIT:.0%} of |psi|^2 "
+            f"in the outer {EDGE_FRACTION:.0%} of the domain, the first at "
+            f"z={contaminated[0][0]:.6g}, at most {max(e for _, e in contaminated):.3g}; "
+            "results may be contaminated by the periodic boundary",
+            BoundaryContaminationWarning,
+            stacklevel=2,
+        )
+    if aborted_at is not None:
+        raise NumericalAbortError(
+            f"field became non-finite by z={aborted_at:.6g} (gain overflow?)",
+            z=aborted_at,
+            partial=samples,
+        )
     return samples

@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .closed_forms import quadratic_trajectory, width_drift_rate
 from .config import FilterConfig, ScenarioConfig
 from .dynamics import GaussianParams, Trajectory, integrate, reconstruct_wavefunction
 from .errors import ConfigError, NumericalAbortError, WidthCollapseError
-from .grid import GridSpec, observables, propagate, renormalized_intensity
+from .grid import observables, propagate, renormalized_intensity, schedule
 from .outputs import write_csv, write_heatmap_csv, write_manifest
 from .potentials import QuadraticLinear
 
@@ -81,18 +82,14 @@ def _gaussian_intensity(params: GaussianParams, x: np.ndarray) -> np.ndarray:
     return math.sqrt(im_b / math.pi) * np.exp(-im_b * u * u)
 
 
-def series_from_trajectory(
-    traj: Trajectory, label: str, grid_spec: GridSpec | None = None
-) -> ObservableSeries:
+def _observe_trajectory(traj: Trajectory, label: str, config, with_intensity: bool):
     cols = traj.columns()
     intensity = None
     x = None
-    if grid_spec is not None:
-        x = grid_spec.positions()
-        intensity = np.array(
-            [_gaussian_intensity(g, x) for _, g in traj.samples]
-        )
-    return ObservableSeries(
+    if with_intensity:
+        x = config.grid_spec().positions()
+        intensity = np.array([_gaussian_intensity(g, x) for _, g in traj.samples])
+    series = ObservableSeries(
         label=label,
         z=cols["z"],
         mean_q=cols["q"],
@@ -102,19 +99,20 @@ def series_from_trajectory(
         intensity=intensity,
         x=x,
     )
+    return series, TRAJECTORY_COLUMNS, np.column_stack([cols[c] for c in TRAJECTORY_COLUMNS])
 
 
-def series_from_grid(samples, label: str, constants, with_intensity: bool) -> ObservableSeries:
+def _observe_grid(samples, label: str, config, with_intensity: bool):
     # partial samples from an aborted run may hold near-overflow amplitudes;
     # observables then degrade to inf/nan without spamming warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        obs = [observables(state, constants) for _, state in samples]
+        obs = [observables(state, config.constants) for _, state in samples]
         intensity = None
         x = None
         if with_intensity:
             x = samples[0][1].spec.positions()
             intensity = np.array([renormalized_intensity(state) for _, state in samples])
-    return ObservableSeries(
+    series = ObservableSeries(
         label=label,
         z=np.array([z for z, _ in samples]),
         mean_q=np.array([o.mean_q for o in obs]),
@@ -125,6 +123,7 @@ def series_from_grid(samples, label: str, constants, with_intensity: bool) -> Ob
         intensity=intensity,
         x=x,
     )
+    return series, GRID_COLUMNS, np.column_stack([getattr(series, c) for c in GRID_COLUMNS])
 
 
 @dataclass
@@ -207,29 +206,74 @@ class ScenarioResult:
     files: list
 
 
-def _sample_zs(z_max: float, dz: float, stride: int) -> list:
-    n = max(1, round(z_max / dz))
-    dz_eff = z_max / n
-    ks = [k for k in range(0, n + 1, stride)]
-    if ks[-1] != n:
-        ks.append(n)
-    return [k * dz_eff for k in ks]
+def _run_gaussian(config: ScenarioConfig, initial: GaussianParams, potential):
+    return integrate(
+        initial,
+        potential,
+        config.z_max,
+        dz=config.gaussian.dz,
+        sample_stride=config.sample_stride,
+        constants=config.constants,
+    )
 
 
-def _shared_indices(za: np.ndarray, zb: np.ndarray):
-    key_b = {round(float(z), 9): i for i, z in enumerate(zb)}
-    ia, ib = [], []
-    for i, z in enumerate(za):
-        j = key_b.get(round(float(z), 9))
-        if j is not None:
-            ia.append(i)
-            ib.append(j)
-    return np.array(ia, dtype=int), np.array(ib, dtype=int)
+def _run_oracle(config: ScenarioConfig, initial: GaussianParams, potential):
+    # built from the validated dict: the closed forms read omega and gamma,
+    # which a hermitian variant or an instrumented potential does not expose
+    quad = QuadraticLinear(
+        omega=config.potential["omega"],
+        gamma=0.0 if config.potential["hermitian"] else config.potential["gamma"],
+    )
+    _, dz_eff, steps = _schedule(config, "oracle")
+    zs = [k * dz_eff for k in steps]
+    samples = quadratic_trajectory(initial, quad, zs, hbar=config.constants.hbar)
+    return Trajectory(samples=samples, dz=config.gaussian.dz, potential=quad.describe())
 
 
-def _trajectory_rows(traj: Trajectory):
-    cols = traj.columns()
-    return np.column_stack([cols[name] for name in TRAJECTORY_COLUMNS])
+def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
+    return propagate(
+        reconstruct_wavefunction(initial, config.grid_spec()),
+        potential,
+        config.z_max,
+        dz=config.grid.dz,
+        sample_stride=config.sample_stride,
+        constants=config.constants,
+    )
+
+
+class _Propagator(NamedTuple):
+    run: Callable  # (config, initial, potential) -> samples; an abort carries .partial
+    observe: Callable  # (samples, label, config, with_intensity) -> (series, header, rows)
+    step: str  # config section whose dz sets the sample schedule
+    csv: str
+
+
+# in run order; also the order of the output files
+_PROPAGATORS = {
+    "gaussian": _Propagator(
+        _run_gaussian, _observe_trajectory, "gaussian", "gaussian_trajectory.csv"
+    ),
+    "oracle": _Propagator(_run_oracle, _observe_trajectory, "gaussian", "oracle_trajectory.csv"),
+    "grid": _Propagator(_run_grid, _observe_grid, "grid", "grid_observables.csv"),
+}
+
+
+def _schedule(config: ScenarioConfig, name: str):
+    dz = getattr(config, _PROPAGATORS[name].step).dz
+    return schedule(config.z_max, dz, config.sample_stride)
+
+
+def _shared_samples(config: ScenarioConfig, name_a: str, name_b: str):
+    """Indices of the samples of two propagators that sit at the same z.
+
+    Sample k of a run with n steps sits at z = k z_max / n, so two samples
+    coincide exactly when k_a n_b = k_b n_a.
+    """
+    n_a, _, k_a = _schedule(config, name_a)
+    n_b, _, k_b = _schedule(config, name_b)
+    index_b = {k * n_a: j for j, k in enumerate(k_b)}
+    ia = [i for i, k in enumerate(k_a) if k * n_b in index_b]
+    return ia, [index_b[k_a[i] * n_b] for i in ia]
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
@@ -240,7 +284,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
     partial data is still exported.
     """
     potential = config.build_potential()
-    grid_spec = config.grid_spec()
     initial = GaussianParams(
         q=config.initial.q0,
         p=config.initial.p0,
@@ -248,71 +291,28 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         norm=config.initial.norm0,
         alpha=config.initial.alpha0,
     )
-    selected = config.propagators
-    want_intensity = config.heatmap or len(selected) >= 2
+    with_intensity = config.heatmap or len(config.propagators) >= 2
 
+    raw: dict = {}
     series: dict = {}
-    trajectories: dict = {}
-    grid_samples = None
+    tables: dict = {}
     aborts: list = []
-
-    if "gaussian" in selected:
+    for name, prop in _PROPAGATORS.items():
+        if name not in config.propagators:
+            continue
         try:
-            traj = integrate(
-                initial,
-                potential,
-                config.z_max,
-                dz=config.gaussian.dz,
-                sample_stride=config.sample_stride,
-                constants=config.constants,
-            )
+            raw[name] = prop.run(config, initial, potential)
         except (WidthCollapseError, NumericalAbortError) as exc:
-            aborts.append(PropagatorAbort("gaussian", str(exc), exc.z))
-            traj = exc.partial if isinstance(exc.partial, Trajectory) else None
-        if traj is not None:
-            trajectories["gaussian"] = traj
-            series["gaussian"] = series_from_trajectory(
-                traj, "gaussian", grid_spec if want_intensity else None
-            )
-
-    if "oracle" in selected:
-        quad = QuadraticLinear(
-            omega=config.potential["omega"],
-            gamma=0.0 if config.potential["hermitian"] else config.potential["gamma"],
-        )
-        zs = _sample_zs(config.z_max, config.gaussian.dz, config.sample_stride)
-        samples = quadratic_trajectory(initial, quad, zs, hbar=config.constants.hbar)
-        traj = Trajectory(samples=samples, dz=config.gaussian.dz, potential=quad.describe())
-        trajectories["oracle"] = traj
-        series["oracle"] = series_from_trajectory(
-            traj, "oracle", grid_spec if want_intensity else None
-        )
-
-    if "grid" in selected:
-        psi0 = reconstruct_wavefunction(initial, grid_spec)
-        try:
-            grid_samples = propagate(
-                psi0,
-                potential,
-                config.z_max,
-                dz=config.grid.dz,
-                sample_stride=config.sample_stride,
-                constants=config.constants,
-            )
-        except NumericalAbortError as exc:
-            aborts.append(PropagatorAbort("grid", str(exc), exc.z))
-            grid_samples = exc.partial
-        if grid_samples:
-            series["grid"] = series_from_grid(
-                grid_samples, "grid", config.constants, want_intensity
-            )
+            aborts.append(PropagatorAbort(name, str(exc), exc.z))
+            raw[name] = exc.partial
+        series[name], header, rows = prop.observe(raw[name], name, config, with_intensity)
+        tables[name] = (header, rows)
 
     reports: dict = {}
     aborted = {a.propagator for a in aborts}
-    for name_a, name_b in combinations([p for p in selected if p in series], 2):
-        if name_a in aborted or name_b in aborted:
-            continue
-        ia, ib = _shared_indices(series[name_a].z, series[name_b].z)
+    compared = [p for p in config.propagators if p not in aborted]
+    for name_a, name_b in combinations(compared, 2):
+        ia, ib = _shared_samples(config, name_a, name_b)
         if len(ia) < 2:
             raise ConfigError(
                 f"propagators {name_a!r} and {name_b!r} share fewer than two z samples; "
@@ -324,22 +324,20 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
 
     files: list = []
     if out_dir is not None:
-        files = _write_outputs(
-            config, series, trajectories, grid_samples, reports, aborts, out_dir
-        )
+        files = _write_outputs(config, series, tables, reports, aborts, out_dir)
     return ScenarioResult(
         config=config,
         series=series,
         reports=reports,
         aborts=aborts,
-        trajectories=trajectories,
-        grid_samples=grid_samples,
+        trajectories={n: r for n, r in raw.items() if isinstance(r, Trajectory)},
+        grid_samples=raw.get("grid"),
         out_dir=out_dir,
         files=files,
     )
 
 
-def _write_outputs(config, series, trajectories, grid_samples, reports, aborts, out_dir):
+def _write_outputs(config, series, tables, reports, aborts, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     files = []
 
@@ -348,17 +346,8 @@ def _write_outputs(config, series, trajectories, grid_samples, reports, aborts, 
         files.append(path)
         return path
 
-    for name in ("gaussian", "oracle"):
-        if name in trajectories:
-            write_csv(
-                emit(f"{name}_trajectory.csv"),
-                TRAJECTORY_COLUMNS,
-                _trajectory_rows(trajectories[name]),
-            )
-    if "grid" in series:
-        s = series["grid"]
-        rows = np.column_stack([s.z, s.norm, s.mean_q, s.mean_p, s.delta_q, s.edge_mass])
-        write_csv(emit("grid_observables.csv"), GRID_COLUMNS, rows)
+    for name, (header, rows) in tables.items():
+        write_csv(emit(_PROPAGATORS[name].csv), header, rows)
     if config.heatmap:
         for name, s in series.items():
             if s.intensity is not None:
@@ -371,16 +360,11 @@ def _write_outputs(config, series, trajectories, grid_samples, reports, aborts, 
         )
 
     derived = {}
-    if "gaussian" in config.propagators or "oracle" in config.propagators:
-        n = max(1, round(config.z_max / config.gaussian.dz))
-        derived["gaussian"] = {"n_steps": n, "dz_eff": config.z_max / n}
-    if "grid" in config.propagators:
-        n = max(1, round(config.z_max / config.grid.dz))
-        derived["grid"] = {
-            "n_steps": n,
-            "dz_eff": config.z_max / n,
-            "spacing": config.grid_spec().spacing,
-        }
+    for name in tables:
+        n_steps, dz_eff, _ = _schedule(config, name)
+        derived[_PROPAGATORS[name].step] = {"n_steps": n_steps, "dz_eff": dz_eff}
+    if "grid" in derived:
+        derived["grid"]["spacing"] = config.grid_spec().spacing
     report_data = {
         "aborts": [
             {"propagator": a.propagator, "reason": a.reason, "z_reached": a.z_reached}

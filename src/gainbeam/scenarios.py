@@ -12,11 +12,9 @@ with B0 = i/2 are included because the narrower width shows a stronger
 width contribution.
 """
 
-from .config import GaussianSettings, GridSettings, InitialBeam, ScenarioConfig
+from .config import InitialBeam, ScenarioConfig
 
 __all__ = ["scenario_library"]
-
-Z_MAX_DEFAULT = 30.0
 
 
 def _tanh_potential(eta, gamma=1.0, omega=1.0, hermitian=False):
@@ -33,19 +31,12 @@ def _quadratic_potential(omega=1.0, gamma=1.0):
     return {"kind": "quadratic_linear", "omega": omega, "gamma": gamma, "hermitian": False}
 
 
-def _scenario(name, potential, q0, p0, b0, propagators=("gaussian", "grid"),
-              half_width=None):
-    if half_width is None:
-        half_width = 8.0 * potential["eta"] if potential["kind"] == "pt_tanh_gaussian" else 20.0
+def _scenario(name, potential, q0, p0, b0, **settings):
+    # every other setting keeps the ScenarioConfig default: z_max = 30,
+    # dz = 1e-3 for both propagators, 4096 grid points on the potential's
+    # default half width, one sample per 100 steps
     return ScenarioConfig(
-        name=name,
-        potential=potential,
-        initial=InitialBeam(q0=q0, p0=p0, b0=b0),
-        propagators=propagators,
-        z_max=Z_MAX_DEFAULT,
-        gaussian=GaussianSettings(dz=1e-3),
-        grid=GridSettings(half_width=half_width, n_points=4096, dz=1e-3),
-        sample_stride=100,
+        name=name, potential=potential, initial=InitialBeam(q0=q0, p0=p0, b0=b0), **settings
     )
 
 

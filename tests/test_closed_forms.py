@@ -284,6 +284,27 @@ class TestShortDistance:
     def test_separation_rate(self):
         assert width_drift_rate(0.5j, 1.0) - width_drift_rate(2j, 1.0) == pytest.approx(1.5)
 
+    def test_width_checked_and_broadcast(self):
+        for b0 in (
+            complex(math.nan, 1.0),
+            complex(1.0, math.inf),
+            1 - 1j,
+            0.5,
+            np.array([1j, complex(math.nan, 1.0)]),
+            np.array([2j, 1 - 1j]),
+        ):
+            with pytest.raises(ValueError):
+                short_distance(0.0, 0.0, b0, 1.0, 1.0, 0.1)
+            with pytest.raises(ValueError):
+                width_drift_rate(b0, 1.0)
+        b0s = np.array([0.5j, 0.3 + 0.6j, 2j])
+        batch = short_distance(0.7, -0.4, b0s, 1.0, 1.0, 0.1)
+        rates = width_drift_rate(b0s, 1.0)
+        for i, b0 in enumerate(b0s):
+            single = short_distance(0.7, -0.4, b0, 1.0, 1.0, 0.1)
+            assert (batch.q[i], batch.p[i]) == (single.q, single.p)
+            assert rates[i] == width_drift_rate(b0, 1.0)
+
     def test_chirp_shifts_momentum(self):
         r = short_distance(0.0, 0.0, 1 + 1j, 1.0, 1.0, 1e-3)
         assert r.p == pytest.approx(1e-3, rel=1e-12)

@@ -164,8 +164,9 @@ class TestPropagate:
     def test_boundary_contamination_warning(self):
         spec = GridSpec(6.0, 256)
         psi0 = reconstruct_wavefunction(GaussianParams(0.0, 5.0, 1j), spec)
-        with pytest.warns(BoundaryContaminationWarning):
+        with pytest.warns(BoundaryContaminationWarning) as record:
             propagate(psi0, FreeSpace(), 1.2, dz=1e-2, sample_stride=10)
+        assert len(record) == 1
 
     def test_overflow_aborts_with_z(self):
         class HugeGain(Potential):
