@@ -360,7 +360,7 @@ def quadratic_trajectory(
 
     q, p, B and N come from the closed forms above; the phase alpha is
     accumulated by adaptive Simpson quadrature of its exact integrand
-    p q' - p^2/2 - V_R(q) - Im B / 2 between consecutive samples.
+    p q' - p^2/2 - V_R(q) - hbar Im B / 2 between consecutive samples.
     """
     omega, gamma = potential.omega, potential.gamma
     sol = center_solution(initial.q, initial.p, initial.b, gamma, omega)
@@ -370,7 +370,7 @@ def quadratic_trajectory(
         pz = float(sol.p(z))
         qz = float(sol.q(z))
         im_b = complex(b_evolution(initial.b, omega, z)).imag
-        return pz * qd - 0.5 * pz * pz - 0.5 * omega * omega * qz * qz - 0.5 * im_b
+        return pz * qd - 0.5 * pz * pz - 0.5 * omega * omega * qz * qz - 0.5 * hbar * im_b
 
     samples = []
     alpha = initial.alpha

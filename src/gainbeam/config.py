@@ -120,9 +120,10 @@ def _boolean(v, name: str) -> bool:
     return v
 
 
-def _text(v, name: str) -> str:
-    if not isinstance(v, str) or not v:
-        raise ConfigError(f"{name} must be a non-empty string, got {v!r}")
+def _file_name(v, name: str) -> str:
+    # runs are written to runs/<name>, which must not leave runs/
+    if not isinstance(v, str) or v in ("", ".", "..") or any(c in v for c in "/\\\0"):
+        raise ConfigError(f"{name} must be a plain file name, got {v!r}")
     return v
 
 
@@ -198,6 +199,12 @@ def _default_half_width(potential: dict) -> float:
     if potential["kind"] == "pt_tanh_gaussian":
         return 8.0 * potential["eta"]
     return 20.0
+
+
+def _unit_n_zero(constants: PhysicalConstants, what: str):
+    # only the grid's kinetic step reads n_zero
+    if constants.n_zero != 1.0:
+        raise ConfigError(f"constants.n_zero must be 1 for {what}, got {constants.n_zero}")
 
 
 def _field(parse, default=MISSING, default_factory=MISSING):
@@ -276,7 +283,7 @@ class GridSettings(_Record):
 
 @dataclass(frozen=True)
 class ScenarioConfig(_Record):
-    name: str = _field(_text)
+    name: str = _field(_file_name)
     potential: dict = _field(_potential)
     initial: InitialBeam = _field(_record(InitialBeam))
     propagators: tuple = _field(_array(_propagator), ("gaussian", "grid"))
@@ -292,6 +299,8 @@ class ScenarioConfig(_Record):
             raise ConfigError(f"propagators must not repeat, got {list(self.propagators)}")
         if "oracle" in self.propagators and self.potential["kind"] != "quadratic_linear":
             raise ConfigError("the oracle propagator requires a quadratic_linear potential")
+        if {"gaussian", "oracle"} & set(self.propagators):
+            _unit_n_zero(self.constants, "the gaussian and oracle propagators")
         if self.grid.half_width is None:
             grid = replace(self.grid, half_width=_default_half_width(self.potential))
             object.__setattr__(self, "grid", grid)
@@ -332,7 +341,7 @@ class ScenarioConfig(_Record):
 class FilterConfig(_Record):
     """Configuration of a width-filtering experiment."""
 
-    name: str = _field(_text)
+    name: str = _field(_file_name)
     widths: tuple = _field(_array(_width))
     q0: float = _field(_number, 0.0)
     p0: float = _field(_number, 0.0)
@@ -350,6 +359,7 @@ class FilterConfig(_Record):
             raise ConfigError("filter experiment needs at least two widths")
         if any(p > self.z_max for p in self.probe_z):
             raise ConfigError("probe_z values must lie in (0, z_max]")
+        _unit_n_zero(self.constants, "a filter experiment")
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterConfig":

@@ -2,7 +2,7 @@
 
 The beam is the Gaussian ansatz
 
-    psi(x, z) = N (Im B / pi)^(1/4) exp(i (B/2 (x-q)^2 + p (x-q) + alpha))
+    psi(x, z) = N (Im B / (pi hbar))^(1/4) exp(i (B/2 (x-q)^2 + p (x-q) + alpha) / hbar)
 
 with real center q, momentum p, complex width parameter B (Im B > 0),
 norm N >= 0 and phase alpha. Expanding the potential to second order
@@ -12,7 +12,7 @@ around q yields closed evolution equations for the five parameters:
     q' = p + V_I'(q) / Im B
     B' = -B^2 - V_R''(q) - i V_I''(q)
     N' = (V_I(q) / hbar + V_I''(q) / (4 Im B)) N
-    alpha' = p q' - p^2 / 2 - V_R(q) - Im B / 2
+    alpha' = p q' - p^2 / 2 - V_R(q) - hbar Im B / 2
 
 Without gain or loss (V_I = 0) the first two lines are Hamilton's
 equations and N is conserved; with V_I the width couples into the motion
@@ -93,29 +93,12 @@ class Trajectory:
 
     def columns(self) -> dict:
         """Column arrays (z, q, p, re_b, im_b, norm, alpha, delta_q, delta_p)."""
-        zs, qs, ps, rb, ib, ns, al = [], [], [], [], [], [], []
-        for z, g in self.samples:
-            zs.append(z)
-            qs.append(g.q)
-            ps.append(g.p)
-            rb.append(g.b.real)
-            ib.append(g.b.imag)
-            ns.append(g.norm)
-            al.append(g.alpha)
-        ib_arr = np.array(ib)
-        dq = 1.0 / np.sqrt(2.0 * ib_arr)
-        dp = np.hypot(rb, ib) / np.sqrt(2.0 * ib_arr)
-        return {
-            "z": np.array(zs),
-            "q": np.array(qs),
-            "p": np.array(ps),
-            "re_b": np.array(rb),
-            "im_b": ib_arr,
-            "norm": np.array(ns),
-            "alpha": np.array(al),
-            "delta_q": dq,
-            "delta_p": dp,
-        }
+        table = np.array(
+            [(z, g.q, g.p, g.b.real, g.b.imag, g.norm, g.alpha) for z, g in self.samples]
+        )
+        cols = dict(zip(("z", "q", "p", "re_b", "im_b", "norm", "alpha"), table.T))
+        cols["delta_q"], cols["delta_p"] = _widths(cols["re_b"], cols["im_b"])
+        return cols
 
 
 def _require_width(b: complex, z=None):
@@ -125,6 +108,20 @@ def _require_width(b: complex, z=None):
         )
 
 
+def _rates(q, p, re_b, im_b, sample: PotentialSample, hbar: float):
+    """d/dz of (q, p, Re B, Im B, log N, alpha); the equations of motion."""
+    v_real, v_imag, dv_real, dv_imag, d2v_real, d2v_imag = sample
+    dq = p + dv_imag / im_b
+    return (
+        dq,
+        -dv_real + (re_b / im_b) * dv_imag,
+        im_b * im_b - re_b * re_b - d2v_real,
+        -2.0 * re_b * im_b - d2v_imag,
+        v_imag / hbar + d2v_imag / (4.0 * im_b),
+        p * dq - 0.5 * p * p - v_real - 0.5 * hbar * im_b,
+    )
+
+
 def rhs(
     params: GaussianParams,
     sample: PotentialSample,
@@ -132,14 +129,10 @@ def rhs(
 ) -> GaussianDerivatives:
     """d/dz of (q, p, B, N, alpha) for a potential sampled at the center."""
     _require_width(params.b)
-    im_b = params.b.imag
-    re_b = params.b.real
-    dq = params.p + sample.dv_imag / im_b
-    dp = -sample.dv_real + (re_b / im_b) * sample.dv_imag
-    db = -params.b * params.b - sample.d2v_real - 1j * sample.d2v_imag
-    dnorm = (sample.v_imag / constants.hbar + sample.d2v_imag / (4.0 * im_b)) * params.norm
-    dalpha = params.p * dq - 0.5 * params.p * params.p - sample.v_real - 0.5 * im_b
-    return GaussianDerivatives(dq, dp, db, dnorm, dalpha)
+    dq, dp, dbr, dbi, dln, dalpha = _rates(
+        params.q, params.p, params.b.real, params.b.imag, sample, constants.hbar
+    )
+    return GaussianDerivatives(dq, dp, complex(dbr, dbi), dln * params.norm, dalpha)
 
 
 def center_acceleration(params: GaussianParams, sample: PotentialSample) -> float:
@@ -164,11 +157,16 @@ def center_acceleration(params: GaussianParams, sample: PotentialSample) -> floa
     )
 
 
+def _widths(re_b, im_b):
+    # (1, |B|) / sqrt(2 Im B), in hbar = 1 units; scalars or arrays
+    root = np.sqrt(2.0 * im_b)
+    return 1.0 / root, np.hypot(re_b, im_b) / root
+
+
 def widths(params: GaussianParams):
-    """Position and momentum widths (1/sqrt(2 Im B), |B|/sqrt(2 Im B))."""
+    """Position and momentum widths (1/sqrt(2 Im B), |B|/sqrt(2 Im B)), hbar = 1 units."""
     _require_width(params.b)
-    root = math.sqrt(2.0 * params.b.imag)
-    return 1.0 / root, abs(params.b) / root
+    return _widths(params.b.real, params.b.imag)
 
 
 def _norm_from_log(log_norm: float, norm0: float) -> float:
@@ -211,40 +209,27 @@ def integrate(
 
     traj = Trajectory(samples=[(0.0, initial)], dz=dz_eff, potential=potential.describe())
 
-    def deriv(q, p, br, bi, ln, al, z):
+    def collapse(bi, z):
+        return WidthCollapseError(f"Im B reached {bi:.6g} at z={z:.6g}", z=z, partial=traj)
+
+    def stage(q, p, br, bi, z):
         if bi <= 0.0:
-            raise WidthCollapseError(
-                f"Im B reached {bi:.6g} at z={z:.6g}", z=z, partial=traj
-            )
-        s = sample(q)
-        dq = p + s.dv_imag / bi
-        dp = -s.dv_real + (br / bi) * s.dv_imag
-        dbr = bi * bi - br * br - s.d2v_real
-        dbi = -2.0 * br * bi - s.d2v_imag
-        dln = s.v_imag / hbar + s.d2v_imag / (4.0 * bi)
-        dal = p * dq - 0.5 * p * p - s.v_real - 0.5 * bi
-        return dq, dp, dbr, dbi, dln, dal
+            raise collapse(bi, z)
+        return _rates(q, p, br, bi, sample(q), hbar)
 
     h = dz_eff
+    half = 0.5 * h
+    sixth = h / 6.0
     for step in range(1, n_steps + 1):
         z0 = (step - 1) * dz_eff
-        k1 = deriv(q, p, br, bi, ln, al, z0)
-        k2 = deriv(
-            q + 0.5 * h * k1[0], p + 0.5 * h * k1[1], br + 0.5 * h * k1[2],
-            bi + 0.5 * h * k1[3], ln + 0.5 * h * k1[4], al + 0.5 * h * k1[5],
-            z0 + 0.5 * h,
+        k1 = stage(q, p, br, bi, z0)
+        k2 = stage(
+            q + half * k1[0], p + half * k1[1], br + half * k1[2], bi + half * k1[3], z0 + half
         )
-        k3 = deriv(
-            q + 0.5 * h * k2[0], p + 0.5 * h * k2[1], br + 0.5 * h * k2[2],
-            bi + 0.5 * h * k2[3], ln + 0.5 * h * k2[4], al + 0.5 * h * k2[5],
-            z0 + 0.5 * h,
+        k3 = stage(
+            q + half * k2[0], p + half * k2[1], br + half * k2[2], bi + half * k2[3], z0 + half
         )
-        k4 = deriv(
-            q + h * k3[0], p + h * k3[1], br + h * k3[2],
-            bi + h * k3[3], ln + h * k3[4], al + h * k3[5],
-            z0 + h,
-        )
-        sixth = h / 6.0
+        k4 = stage(q + h * k3[0], p + h * k3[1], br + h * k3[2], bi + h * k3[3], z0 + h)
         q += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         p += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         br += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
@@ -260,9 +245,7 @@ def integrate(
                 f"state became non-finite by z={z_now:.6g}", z=z_now, partial=traj
             )
         if bi <= 0.0:
-            raise WidthCollapseError(
-                f"Im B reached {bi:.6g} at z={z_now:.6g}", z=z_now, partial=traj
-            )
+            raise collapse(bi, z_now)
         if step in sampled:
             traj.samples.append(
                 (
@@ -276,20 +259,22 @@ def integrate(
 
 
 def reconstruct_wavefunction(
-    params: GaussianParams, grid: GridSpec, z: float = 0.0
+    params: GaussianParams,
+    grid: GridSpec,
+    z: float = 0.0,
+    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> GridState:
     """Sample the Gaussian ansatz on a grid.
 
-        psi(x) = N (Im B / pi)^(1/4) exp(i (B/2 (x-q)^2 + p (x-q) + alpha))
+        psi(x) = N (Im B / (pi hbar))^(1/4) exp(i (B/2 (x-q)^2 + p (x-q) + alpha) / hbar)
 
     Warns (NarrowGridWarning) if either grid edge is closer than six beam
-    widths to the center.
+    widths sqrt(hbar / (2 Im B)) to the center.
     """
     _require_width(params.b)
-    delta_q, _ = widths(params)
-    edge_distance = min(
-        grid.half_width - params.q, grid.half_width + params.q
-    )
+    hbar = constants.hbar
+    delta_q = math.sqrt(hbar) * widths(params)[0]
+    edge_distance = grid.half_width - abs(params.q)
     if edge_distance < 6.0 * delta_q:
         warnings.warn(
             f"grid edge only {edge_distance:.3g} from beam center "
@@ -300,5 +285,5 @@ def reconstruct_wavefunction(
     x = grid.positions()
     u = x - params.q
     phase = 0.5 * params.b * u * u + params.p * u + params.alpha
-    amps = params.norm * (params.b.imag / math.pi) ** 0.25 * np.exp(1j * phase)
+    amps = params.norm * (params.b.imag / (math.pi * hbar)) ** 0.25 * np.exp(1j * phase / hbar)
     return GridState(grid, amps, z)

@@ -75,11 +75,11 @@ class ObservableSeries:
         )
 
 
-def _gaussian_intensity(params: GaussianParams, x: np.ndarray) -> np.ndarray:
+def _gaussian_intensity(params: GaussianParams, x: np.ndarray, hbar: float) -> np.ndarray:
     # renormalized |psi|^2 of the ansatz in closed form (norm-independent)
     im_b = params.b.imag
     u = x - params.q
-    return math.sqrt(im_b / math.pi) * np.exp(-im_b * u * u)
+    return math.sqrt(im_b / (math.pi * hbar)) * np.exp(-im_b * u * u / hbar)
 
 
 def _observe_trajectory(traj: Trajectory, label: str, config, with_intensity: bool):
@@ -88,7 +88,8 @@ def _observe_trajectory(traj: Trajectory, label: str, config, with_intensity: bo
     x = None
     if with_intensity:
         x = config.grid_spec().positions()
-        intensity = np.array([_gaussian_intensity(g, x) for _, g in traj.samples])
+        hbar = config.constants.hbar
+        intensity = np.array([_gaussian_intensity(g, x, hbar) for _, g in traj.samples])
     series = ObservableSeries(
         label=label,
         z=cols["z"],
@@ -232,7 +233,7 @@ def _run_oracle(config: ScenarioConfig, initial: GaussianParams, potential):
 
 def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
     return propagate(
-        reconstruct_wavefunction(initial, config.grid_spec()),
+        reconstruct_wavefunction(initial, config.grid_spec(), constants=config.constants),
         potential,
         config.z_max,
         dz=config.grid.dz,
@@ -410,22 +411,17 @@ def filter_experiment(config: FilterConfig, out_dir: str | None = None) -> Filte
     potential = config.build_potential()
     slope = potential.sample(config.q0).dv_imag
 
-    trajectories = []
-    for b0 in config.widths:
-        initial = GaussianParams(q=config.q0, p=config.p0, b=b0)
-        trajectories.append(
-            integrate(
-                initial,
-                potential,
-                config.z_max,
-                dz=config.dz,
-                sample_stride=1,
-                constants=config.constants,
-            )
+    trajectories = [
+        integrate(
+            GaussianParams(q=config.q0, p=config.p0, b=b0), potential, config.z_max,
+            dz=config.dz, sample_stride=1, constants=config.constants,
         )
+        for b0 in config.widths
+    ]
     zs = trajectories[0].zs
-    centers = np.array([t.columns()["q"] for t in trajectories])
-    beam_widths = np.array([t.columns()["delta_q"] for t in trajectories])
+    columns = [t.columns() for t in trajectories]
+    centers = np.array([c["q"] for c in columns])
+    beam_widths = np.array([c["delta_q"] for c in columns])
 
     probe_indices = {}
     for probe in config.probe_z:

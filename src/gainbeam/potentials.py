@@ -19,7 +19,7 @@ for user-supplied refractive-index profiles without derivative data.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ def hbar_from_wavelength(wavelength: float) -> float:
     return wavelength / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class PotentialSample:
+class PotentialSample(NamedTuple):
     """Value and first two derivatives of both potential parts at one point."""
 
     v_real: float
@@ -290,9 +289,8 @@ class IndexProfilePotential(Potential):
             dv = (vp - vm) / (2.0 * h)
             d2v = (vp - 2.0 * v + vm) / (h * h)
         out = PotentialSample(v.real, v.imag, dv.real, dv.imag, d2v.real, d2v.imag)
-        for f in (out.v_real, out.v_imag, out.dv_real, out.dv_imag, out.d2v_real, out.d2v_imag):
-            if not math.isfinite(f):
-                raise ValueError(f"index-profile potential is non-finite near x={q!r}")
+        if not all(map(math.isfinite, out)):
+            raise ValueError(f"index-profile potential is non-finite near x={q!r}")
         return out
 
     def value(self, x):

@@ -79,6 +79,14 @@ ESCAPES = [
     ("scenario", ("grid", "half_width"), "a"),
     ("scenario", ("propagators",), [[1]]),
     ("scenario", ("potential", "omega"), 0),
+    ("scenario", ("constants", "n_zero"), 2.0),
+    ("filter", ("constants", "n_zero"), 2.0),
+    ("scenario", ("name",), "../../escaped"),
+    ("filter", ("name",), "../../escaped"),
+    ("scenario", ("name",), ".."),
+    ("filter", ("name",), "."),
+    ("scenario", ("name",), "a\\b"),
+    ("filter", ("name",), "a\0b"),
 ]
 
 
@@ -95,6 +103,25 @@ def test_bad_value_is_config_error(kind, path, value, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(bad))
     assert main([command, str(config), "--out-dir", str(tmp_path / "out"), "--quiet"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_escaping_name_writes_nothing(kind, tmp_path, monkeypatch):
+    # without --out-dir a run writes to runs/<name> below the working directory
+    doc, _, command = DOCUMENTS[kind]
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    monkeypatch.chdir(work)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(replaced(doc, ("name",), "../../escaped")))
+    assert main([command, str(config), "--quiet"]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "config.json"]
+
+
+def test_grid_only_scenario_keeps_n_zero():
+    # n_zero reaches the grid's kinetic step only, so only a grid-only run may set it
+    doc = replaced(replaced(SCENARIO, ("propagators",), ["grid"]), ("constants", "n_zero"), 2.0)
+    assert ScenarioConfig.from_dict(doc).constants.n_zero == 2.0
 
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainbeam.closed_forms import quadratic_trajectory
 from gainbeam.dynamics import (
@@ -13,9 +15,10 @@ from gainbeam.dynamics import (
     widths,
 )
 from gainbeam.errors import NarrowGridWarning, NumericalAbortError, WidthCollapseError
-from gainbeam.grid import GridSpec, observables
+from gainbeam.grid import GridSpec, observables, propagate
 from gainbeam.potentials import (
     FreeSpace,
+    PhysicalConstants,
     Potential,
     PotentialSample,
     PtTanhGaussian,
@@ -25,6 +28,7 @@ from gainbeam.potentials import (
 
 QUAD = QuadraticLinear(omega=1.0, gamma=1.0)
 TANH = PtTanhGaussian(gamma=1.0, omega=1.0, eta=10.0)
+QUAD_SMALL_GAIN = QuadraticLinear(omega=1.0, gamma=0.2)
 STATIONARY = GaussianParams(q=0.0, p=-1.0, b=1j)
 
 
@@ -64,6 +68,60 @@ class TestRhs:
             rhs(GaussianParams(0.0, 0.0, 1 - 0.5j), QUAD.sample(0.0))
         with pytest.raises(WidthCollapseError):
             rhs(GaussianParams(0.0, 0.0, 1 + 0j), QUAD.sample(0.0))
+
+
+def rk4_step_from_rhs(g, pot, h):
+    """One classical RK4 step of (q, p, B, log N, alpha) built from the public rhs."""
+
+    def rates(q, p, b):
+        # at norm 1, dnorm is d(log N)/dz
+        d = rhs(GaussianParams(q, p, b), pot.sample(q))
+        return d.dq, d.dp, d.db, d.dnorm, d.dalpha
+
+    k1 = rates(g.q, g.p, g.b)
+    k2 = rates(g.q + 0.5 * h * k1[0], g.p + 0.5 * h * k1[1], g.b + 0.5 * h * k1[2])
+    k3 = rates(g.q + 0.5 * h * k2[0], g.p + 0.5 * h * k2[1], g.b + 0.5 * h * k2[2])
+    k4 = rates(g.q + h * k3[0], g.p + h * k3[1], g.b + h * k3[2])
+    return [
+        x + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for x, a, b, c, d in zip((g.q, g.p, g.b, 0.0, g.alpha), k1, k2, k3, k4)
+    ]
+
+
+POTENTIALS = st.one_of(
+    st.builds(
+        PtTanhGaussian,
+        gamma=st.floats(-2.0, 2.0),
+        omega=st.floats(0.5, 2.0),
+        eta=st.floats(2.0, 10.0),
+    ),
+    st.builds(QuadraticLinear, omega=st.floats(0.5, 2.0), gamma=st.floats(-2.0, 2.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pot=POTENTIALS,
+    q=st.floats(-3.0, 3.0),
+    p=st.floats(-2.0, 2.0),
+    re_b=st.floats(-1.0, 1.0),
+    im_b=st.floats(0.3, 3.0),
+    alpha=st.floats(-1.0, 1.0),
+    norm=st.floats(0.1, 10.0),
+    h=st.floats(1e-4, 0.05),
+)
+def test_integrate_step_is_rk4_of_rhs(pot, q, p, re_b, im_b, alpha, norm, h):
+    g0 = GaussianParams(q, p, complex(re_b, im_b), norm, alpha)
+    got = integrate(g0, pot, z_max=h, dz=h).samples[-1][1]
+    want_q, want_p, want_b, want_log_norm, want_alpha = rk4_step_from_rhs(g0, pot, h)
+    for value, want in (
+        (got.q, want_q),
+        (got.p, want_p),
+        (got.b, want_b),
+        (math.log(got.norm / norm), want_log_norm),
+        (got.alpha, want_alpha),
+    ):
+        assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestWidths:
@@ -253,6 +311,21 @@ class TestReconstruct:
         assert np.allclose(a.amplitudes, 3.0 * b.amplitudes)
         c = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j, alpha=0.7), grid)
         assert np.allclose(c.amplitudes, np.exp(0.7j) * b.amplitudes)
+
+    def test_grid_follows_ansatz_at_small_hbar(self):
+        # width, phase and the phase equation's -hbar Im B / 2 all carry hbar
+        constants = PhysicalConstants(hbar=0.5)
+        spec = GridSpec(10.0, 1024)
+        g0 = GaussianParams(1.0, 0.3, 0.2 + 1j)
+        g = integrate(g0, QUAD_SMALL_GAIN, 2.0, dz=1e-3, constants=constants).samples[-1][1]
+        _, state = propagate(
+            reconstruct_wavefunction(g0, spec, constants=constants),
+            QUAD_SMALL_GAIN, 2.0, dz=1e-3, sample_stride=2000, constants=constants,
+        )[-1]
+        ref = reconstruct_wavefunction(g, spec, constants=constants).amplitudes
+        assert np.linalg.norm(state.amplitudes - ref) <= 1e-6 * np.linalg.norm(ref)
+        _, exact = quadratic_trajectory(g0, QUAD_SMALL_GAIN, [2.0], hbar=0.5)[-1]
+        assert abs(exact.alpha - g.alpha) < 1e-9
 
     def test_narrow_grid_warns(self):
         grid = GridSpec(8.0, 512)

@@ -14,6 +14,7 @@ from gainbeam.config import (
 from gainbeam.errors import BoundaryContaminationWarning, ConfigError, NarrowGridWarning
 from gainbeam.harness import ObservableSeries, compare, filter_experiment, run_scenario
 from gainbeam.outputs import read_manifest_config
+from gainbeam.potentials import PhysicalConstants
 from gainbeam.scenarios import scenario_library
 
 
@@ -146,6 +147,21 @@ class TestRunScenario:
         rep = result.reports[("gaussian", "grid")]
         assert rep.sup_q_error < 1e-6
         assert rep.sup_norm_rel_error < 1e-6
+
+    def test_grid_comparison_at_small_hbar(self):
+        # the ansatz and its intensity carry hbar, as the grid and the norm equation do
+        cfg = small_config(
+            potential={"kind": "quadratic_linear", "omega": 1.0, "gamma": 0.2},
+            initial=InitialBeam(q0=1.0, p0=0.0, b0=1j),
+            propagators=("gaussian", "grid"),
+            z_max=2.0,
+            grid=GridSettings(half_width=10.0, n_points=1024, dz=1e-3),
+            constants=PhysicalConstants(hbar=0.5),
+        )
+        rep = run_scenario(cfg).reports[("gaussian", "grid")]
+        assert rep.sup_q_error <= 1e-6
+        assert rep.sup_norm_rel_error <= 1e-6
+        assert rep.renormalized_intensity_l2 <= 1e-6
 
     def test_single_propagator_no_report(self):
         result = run_scenario(small_config(propagators=("gaussian",)))
