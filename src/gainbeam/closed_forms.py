@@ -15,7 +15,6 @@ These closed forms serve as ground truth for the numerical propagators
 short-distance expansion underlies the width-filtering application.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -43,14 +42,8 @@ __all__ = [
 
 
 def _check_width(b0):
-    # Python and numpy scalars skip numpy dispatch: this runs once per
-    # closed-form evaluation on the oracle's hot path
-    if isinstance(b0, (complex, float, int)):
-        valid = b0.imag > 0 and cmath.isfinite(b0)
-    else:
-        b = np.asarray(b0)
-        valid = bool(np.all(b.imag > 0)) and bool(np.all(np.isfinite(b)))
-    if not valid:
+    b = np.asarray(b0)
+    if not (np.all(b.imag > 0) and np.all(np.isfinite(b))):
         raise ValueError(f"b0 must be finite with Im b0 > 0, got {b0}")
 
 
@@ -70,13 +63,34 @@ def b_evolution(b0: complex | np.ndarray, omega: float, z):
 
     ``b0`` is a scalar or an array that broadcasts with ``z``; the result
     has the broadcast shape. Every entry of ``b0`` must be finite with
-    Im B0 > 0, otherwise ``ValueError`` is raised.
+    Im B0 > 0, otherwise ``ValueError`` is raised. The quotient is rounded
+    as Python's complex division rounds it, so every entry equals the
+    formula above in Python complex arithmetic bit for bit.
     """
     _check_width(b0)
     _check_omega(omega)
     c = np.cos(omega * z)
     s = np.sin(omega * z)
-    return omega * (b0 * c - omega * s) / (b0 * s + omega * c)
+    b_re, b_im = np.real(b0), np.imag(b0)
+    return _quotient(
+        omega * (b_re * c - omega * s), omega * (b_im * c), b_re * s + omega * c, b_im * s
+    )
+
+
+def _quotient(a_re, a_im, b_re, b_im):
+    """(a_re + i a_im) / (b_re + i b_im) elementwise, in CPython's steps.
+
+    numpy's complex division multiplies by a rounded reciprocal and can
+    differ from Python's in the last bit. This is Smith's method as
+    CPython writes it: divide through by the larger part of the divisor.
+    """
+    flip = np.abs(b_re) < np.abs(b_im)
+    u, v = np.where(flip, b_im, b_re), np.where(flip, b_re, b_im)
+    x, y = np.where(flip, a_im, a_re), np.where(flip, a_re, a_im)
+    ratio = v / u
+    denom = u + v * ratio
+    im = (y - x * ratio) / denom
+    return (x + y * ratio) / denom + 1j * np.where(flip, -im, im)
 
 
 def forcing_ratio(b0: complex, omega: float, z):
@@ -350,6 +364,89 @@ def width_drift_rate(b0: complex, gamma: float) -> float:
     return gamma / b0.imag
 
 
+# 12-point Gauss-Legendre rule on [-1, 1]: nodes +-x, weights w. Written
+# out because importing numpy.polynomial for leggauss costs every run memory.
+_GL_X = (
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704749, 0.9815606342467192,
+)
+_GL_W = (
+    0.24914704581340277, 0.2334925365383548, 0.20316742672306592,
+    0.16007832854334622, 0.10693932599531843, 0.04717533638651183,
+)
+# [0, u] in 4 panels: for |u| <= pi / omega each panel is at most
+# pi / (4 omega) < 1 / omega long. Nodes as fractions of u, and their
+# weights; built from lists so that importing runs no numpy routine
+_PANELS = 4
+_FRACTIONS = np.array([
+    (j + 0.5 * (1.0 + sign * x)) / _PANELS
+    for j in range(_PANELS) for sign in (-1.0, 1.0) for x in _GL_X
+])
+_WEIGHTS = np.array([w / (2 * _PANELS) for _ in range(2 * _PANELS) for w in _GL_W])
+# samples per block of quadrature: each temporary holds 32 x 48 nodes
+# (12 kB); blocks of 128 raised an oracle run's peak RSS by 2 MB more
+_BLOCK = 32
+# pi - _PI_LO rounds to math.pi; together they hold pi to about 1e-32
+_PI_LO = 1.2246467991473532e-16
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a):
+    # Veltkamp: a = hi + lo with both halves 26 bits long, so their
+    # products are exact
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _reduce(phi, turns: int):
+    """(k, r) with phi = k turns pi + r and |r| <= turns pi / 2, to eps |r|.
+
+    ``phi`` is a pair (hi, lo) of arrays holding phi = hi + lo. k turns pi
+    is formed exactly in two parts, and hi minus its leading part is exact
+    (Sterbenz), so r is not rounded against phi itself.
+    """
+    hi, lo = phi
+    k = np.rint(hi / (turns * math.pi))
+    p, e = _two_product(k, turns * math.pi)
+    return k, (hi - p) + ((lo - e) - k * (turns * _PI_LO))
+
+
+def _phase_change(sol: OscillatorSolution, hbar: float, z: np.ndarray) -> np.ndarray:
+    """integral_0^z of alpha' for an array z (see quadratic_trajectory)."""
+    omega, gamma, b0 = sol.omega, sol.gamma, sol.b0
+    phi = _two_product(omega, z)
+    # -hbar Im B / 2 integrates to -(hbar / 2) arg D
+    m, theta = _reduce(phi, 1)
+    s = np.sin(theta)
+    arg_d = m * math.pi + np.arctan2(b0.imag * s, b0.real * s + omega * np.cos(theta))
+    # the rest: its mean times z, plus the integral of rest - mean over
+    # [0, u], u = z modulo the period with |u| <= pi / omega
+    mean = -0.5 * (gamma / omega) ** 2
+    _, angle = _reduce(phi, 2)
+    spans = angle / omega
+    rest = np.empty_like(spans)
+    for i in range(0, spans.size, _BLOCK):
+        u = spans[i : i + _BLOCK]
+        t = u[:, None] * _FRACTIONS
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        # with p = q' - gamma / Im B, p q' - p^2/2 = (q'^2 - (gamma / Im B)^2) / 2
+        gamma_over_im_b = gamma * ((b0.real * s + omega * c) ** 2 + (b0.imag * s) ** 2) / (
+            omega * omega * b0.imag
+        )
+        qd, q = sol.q_dot(t), sol.q(t)
+        f = 0.5 * (qd * qd - omega * omega * q * q - gamma_over_im_b * gamma_over_im_b)
+        rest[i : i + _BLOCK] = u * ((f - mean) * _WEIGHTS).sum(axis=1)
+    return -0.5 * hbar * arg_d + mean * z + rest
+
+
 def quadratic_trajectory(
     initial: GaussianParams,
     potential: QuadraticLinear,
@@ -358,37 +455,48 @@ def quadratic_trajectory(
 ) -> list:
     """Closed-form (z, GaussianParams) samples under a QuadraticLinear potential.
 
-    q, p, B and N come from the closed forms above; the phase alpha is
-    accumulated by adaptive Simpson quadrature of its exact integrand
-    p q' - p^2/2 - V_R(q) - hbar Im B / 2 between consecutive samples.
+    q, p, B and N come from the closed forms above, evaluated on the whole
+    array of ``z_values`` (non-decreasing, from z >= 0). The phase obeys
+
+        alpha' = p q' - p^2/2 - omega^2 q^2/2 - hbar Im B / 2.
+
+    Its last term integrates exactly: B = D'/D with
+    D = B0 sin wz + omega cos wz, so it contributes -(hbar/2) arg D(z).
+    arg D rises monotonically by pi every pi/omega; with m the integer
+    nearest wz/pi and z_r = z - m pi/omega,
+
+        arg D = m pi + atan2(Im B0 sin wz_r, Re B0 sin wz_r + omega cos wz_r).
+
+    The other terms, p q' - p^2/2 - omega^2 q^2/2, form a trig polynomial
+    of period 2 pi/omega, because 1/Im B = |D|^2 / (omega^2 Im B0). Its
+    mean over a period is exactly -gamma^2 / (2 omega^2), whatever q0, p0
+    and B0: the free oscillation's kinetic and potential parts cancel, and
+    the 2 omega parts of q and of gamma / Im B leave only that constant.
+    So the rest contributes that mean times z, plus the integral of rest
+    minus mean over [0, z_u], z_u = z modulo the period taken between
+    -pi/omega and pi/omega. That last integral is 12-point Gauss-Legendre
+    on 4 panels (each under 1/omega long), so the cost per sample does not
+    grow with omega z.
+
+    omega z is reduced modulo pi and 2 pi in double-double arithmetic:
+    reduced against the rounded products, z_r and z_u would carry an error
+    of about eps z, which moves alpha by eps z max|alpha'|.
     """
     omega, gamma = potential.omega, potential.gamma
+    z = np.asarray(z_values, dtype=float)
+    # a Python loop: numpy's any/diff would page in code on every run
+    zs = z.tolist()
+    if any(hi < lo for lo, hi in zip([0.0, *zs], zs)):
+        raise ValueError("z_values must be non-decreasing")
     sol = center_solution(initial.q, initial.p, initial.b, gamma, omega)
-
-    def alpha_integrand(z):
-        qd = float(sol.q_dot(z))
-        pz = float(sol.p(z))
-        qz = float(sol.q(z))
-        im_b = complex(b_evolution(initial.b, omega, z)).imag
-        return pz * qd - 0.5 * pz * pz - 0.5 * omega * omega * qz * qz - 0.5 * hbar * im_b
-
-    samples = []
-    alpha = initial.alpha
-    prev_z = 0.0
-    for z in z_values:
-        z = float(z)
-        if z < prev_z:
-            raise ValueError("z_values must be non-decreasing")
-        if z > prev_z:
-            alpha += adaptive_simpson(alpha_integrand, prev_z, z, abs_tol=1e-12)
-            prev_z = z
-        b = complex(b_evolution(initial.b, omega, z))
-        params = GaussianParams(
-            q=float(sol.q(z)),
-            p=float(sol.p(z)),
-            b=b,
-            norm=initial.norm * float(sol.norm_ratio(z, hbar=hbar)),
-            alpha=alpha,
-        )
-        samples.append((z, params))
-    return samples
+    columns = (
+        sol.q(z),
+        sol.p(z),
+        b_evolution(initial.b, omega, z),
+        initial.norm * sol.norm_ratio(z, hbar=hbar),
+        initial.alpha + _phase_change(sol, hbar, z),
+    )
+    return [
+        (zi, GaussianParams(q=q, p=p, b=b, norm=norm, alpha=alpha))
+        for zi, q, p, b, norm, alpha in zip(zs, *(c.tolist() for c in columns))
+    ]

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
-from .grid import GridSpec
+from .grid import GridSpec, step_count
 from .potentials import (
     DEFAULT_CONSTANTS,
     FreeSpace,
@@ -301,6 +301,11 @@ class ScenarioConfig(_Record):
             raise ConfigError("the oracle propagator requires a quadratic_linear potential")
         if {"gaussian", "oracle"} & set(self.propagators):
             _unit_n_zero(self.constants, "the gaussian and oracle propagators")
+            with _config_errors("gaussian."):
+                step_count(self.z_max, self.gaussian.dz)
+        if "grid" in self.propagators:
+            with _config_errors("grid."):
+                step_count(self.z_max, self.grid.dz)
         if self.grid.half_width is None:
             grid = replace(self.grid, half_width=_default_half_width(self.potential))
             object.__setattr__(self, "grid", grid)
@@ -360,6 +365,7 @@ class FilterConfig(_Record):
         if any(p > self.z_max for p in self.probe_z):
             raise ConfigError("probe_z values must lie in (0, z_max]")
         _unit_n_zero(self.constants, "a filter experiment")
+        step_count(self.z_max, self.dz)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterConfig":

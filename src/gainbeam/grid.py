@@ -16,6 +16,7 @@ domain, which triggers a warning above 1%.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ __all__ = [
     "GridObservables",
     "propagate",
     "schedule",
+    "step_count",
     "observables",
     "renormalized_intensity",
     "EDGE_FRACTION",
@@ -140,22 +142,36 @@ def renormalized_intensity(state: GridState) -> np.ndarray:
     return density / mass
 
 
-def schedule(z_max: float, dz: float, stride: int):
-    """Step count, effective step and sampled step indices of one propagation.
+def step_count(z_max: float, dz: float) -> int:
+    """Steps of a propagation to z_max: n = round(z_max / dz), at least 1.
 
-    The step count is n = round(z_max / dz), at least 1, and the effective
-    step z_max / n, so the last step lands exactly on z_max. Samples are
-    taken at every ``stride``-th step from step 0 (the initial state) and
-    at step n. Returns (n, z_max / n, sample_steps) with sample_steps an
-    increasing list of step numbers; step k sits at z = k * z_max / n.
+    Raises ValueError unless z_max and dz are positive and n fits a list
+    index (at most ``sys.maxsize``).
     """
     if not z_max > 0:
         raise ValueError(f"z_max must be positive, got {z_max}")
     if not dz > 0:
         raise ValueError(f"dz must be positive, got {dz}")
+    if not z_max / dz < sys.maxsize:
+        raise ValueError(
+            f"dz = {dz!r} gives {z_max / dz:.3g} steps to z_max = {z_max!r}, "
+            f"more than {sys.maxsize}"
+        )
+    return max(1, round(z_max / dz))
+
+
+def schedule(z_max: float, dz: float, stride: int):
+    """Step count, effective step and sampled step indices of one propagation.
+
+    The step count is :func:`step_count` and the effective step
+    z_max / n, so the last step lands exactly on z_max. Samples are
+    taken at every ``stride``-th step from step 0 (the initial state) and
+    at step n. Returns (n, z_max / n, sample_steps) with sample_steps an
+    increasing list of step numbers; step k sits at z = k * z_max / n.
+    """
     if stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {stride}")
-    n_steps = max(1, round(z_max / dz))
+    n_steps = step_count(z_max, dz)
     steps = list(range(0, n_steps + 1, stride))
     if steps[-1] != n_steps:
         steps.append(n_steps)

@@ -228,7 +228,7 @@ def _run_oracle(config: ScenarioConfig, initial: GaussianParams, potential):
     _, dz_eff, steps = _schedule(config, "oracle")
     zs = [k * dz_eff for k in steps]
     samples = quadratic_trajectory(initial, quad, zs, hbar=config.constants.hbar)
-    return Trajectory(samples=samples, dz=config.gaussian.dz, potential=quad.describe())
+    return Trajectory(samples=samples, dz=dz_eff, potential=quad.describe())
 
 
 def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):

@@ -8,7 +8,6 @@ a partial file.
 
 import json
 import os
-import tempfile
 
 from .config import ScenarioConfig
 
@@ -31,7 +30,10 @@ def format_number(x) -> str:
 def atomic_write_text(path, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # opened like any new file, mode 0o666 less the umask (tempfile.mkstemp
+    # would leave 0o600); O_EXCL never reuses an existing name
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -31,6 +33,17 @@ class TestRun:
         assert (out / "gaussian_trajectory.csv").exists()
         text = capsys.readouterr().out
         assert "gaussian vs oracle" in text
+
+    def test_output_files_follow_umask(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert main(["run", str(cfg), "--out-dir", str(out), "--quiet"]) == EXIT_OK
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert len(modes) == 4 and set(modes.values()) == {0o644}, modes
 
     def test_quiet(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
+import gainbeam
 from gainbeam.closed_forms import (
     OscillatorSolution,
     adaptive_simpson,
@@ -71,6 +76,19 @@ class TestBEvolution:
             want = np.array([b_evolution(b0, omega, z) for b0 in b0s])
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_matches_python_complex_arithmetic_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        zs = rng.uniform(0.0, 50.0, 400)
+        for b0 in random_b0(rng, 5) + [0.02j, 0.1 + 8j]:
+            for omega in (0.7, 2.0):
+                got = b_evolution(b0, omega, zs)
+                want = []
+                for z in zs.tolist():
+                    c, s = float(np.cos(omega * z)), float(np.sin(omega * z))
+                    want.append(omega * (b0 * c - omega * s) / (b0 * s + omega * c))
+                assert np.array_equal(got, np.array(want))
+                assert complex(b_evolution(b0, omega, zs[0])) == want[0]
 
     def test_composition(self):
         rng = np.random.default_rng(2)
@@ -343,3 +361,94 @@ class TestQuadraticTrajectory:
             assert abs(got.b - want.b) < 1e-9
             assert abs(got.norm - want.norm) < 1e-8 * want.norm
             assert abs(got.alpha - want.alpha) < 1e-8
+
+    def test_columns_are_the_scalar_closed_forms(self):
+        pot = QuadraticLinear(omega=0.7, gamma=0.4)
+        g0 = GaussianParams(0.3, -0.4, 0.1 + 0.48j, norm=1.5, alpha=0.25)
+        sol = center_solution(g0.q, g0.p, g0.b, pot.gamma, pot.omega)
+        zs = [0.0, 1e-3, 0.5, 0.5, 3.0, 29.9, 30.0, 1000.0]
+        for z, got in quadratic_trajectory(g0, pot, zs, hbar=0.5):
+            want_b = complex(b_evolution(g0.b, pot.omega, z))
+            assert got.q == pytest.approx(float(sol.q(z)), rel=1e-15, abs=0)
+            assert got.p == pytest.approx(float(sol.p(z)), rel=1e-15, abs=0)
+            assert abs(got.b - want_b) <= 1e-15 * abs(want_b)
+            assert got.norm == pytest.approx(1.5 * float(sol.norm_ratio(z, hbar=0.5)), rel=1e-15)
+
+    def test_decreasing_z_rejected(self):
+        pot = QuadraticLinear(omega=1.0, gamma=1.0)
+        g0 = GaussianParams(0.0, -1.0, 1j)
+        for zs in ([0.0, 1.0, 0.5], [-0.1], [2.0, 1.0]):
+            with pytest.raises(ValueError):
+                quadratic_trajectory(g0, pot, zs)
+
+    def test_import_leaves_out_numpy_polynomial(self):
+        # the Gauss-Legendre rule is written out: importing numpy.polynomial
+        # would add to every run's set-up time and peak memory
+        src = os.path.dirname(os.path.dirname(gainbeam.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, gainbeam; print('numpy.polynomial' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("omega", [0.7, 2.0])
+    @pytest.mark.parametrize("im_b0", [0.02, 0.48, 8.0])
+    @pytest.mark.parametrize("gamma", [0.2, 0.6])
+    def test_alpha_matches_high_precision_quadrature(self, gamma, im_b0, omega):
+        hbar = 0.5
+        pot = QuadraticLinear(omega=omega, gamma=gamma)
+        g0 = GaussianParams(0.3, -0.4, complex(0.1, im_b0), alpha=0.25)
+        dense = np.linspace(0.0, 30.0, 61)
+        got = [s.alpha for _, s in quadratic_trajectory(g0, pot, dense, hbar=hbar)]
+        got += [quadratic_trajectory(g0, pot, [z], hbar=hbar)[0][1].alpha for z in (30.0, 1000.0)]
+        want = 0.25 + _alpha_reference(g0, gamma, omega, hbar, [*dense, 30.0, 1000.0])
+        err = np.abs(np.array(got) - want)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want))), err.max()
+
+
+def _alpha_reference(g0: GaussianParams, gamma: float, omega: float, hbar: float, zs):
+    """integral_0^z alpha' at each z by 30-digit tanh-sinh quadrature.
+
+    q is the closed-form center, its coefficients formed in 30 digits from
+    the initial data: the double-rounded coefficients of center_solution
+    shift the period mean of alpha' by up to ~1e-13 when Im b0 is small.
+    alpha' = p q' - p^2/2 - omega^2 q^2/2 - hbar Im B / 2 has period
+    2 pi / omega, so each z is split into whole periods and a remainder;
+    the remainders are integrated in increasing order.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        w, g, h = mp.mpf(omega), mp.mpf(gamma), mp.mpf(hbar)
+        b_re, b_im = mp.mpf(g0.b.real), mp.mpf(g0.b.imag)
+        s_coeff = (b_re**2 + b_im**2 - w * w) / (2 * w * b_im)
+        c_coeff = b_re / b_im
+        scale = -g / (w * w)
+        a = mp.mpf(g0.q) - scale * c_coeff
+        b = (mp.mpf(g0.p) + g / b_im - scale * 2 * w * s_coeff) / w
+
+        def rate(z):
+            c, s = mp.cos(w * z), mp.sin(w * z)
+            c2, s2 = mp.cos(2 * w * z), mp.sin(2 * w * z)
+            q = a * c + b * s + scale * (s_coeff * s2 + c_coeff * c2)
+            qd = w * (b * c - a * s) + 2 * w * scale * (s_coeff * c2 - c_coeff * s2)
+            im_b = w * w * b_im / ((b_re * s + w * c) ** 2 + (b_im * s) ** 2)
+            p = qd - g / im_b
+            return p * qd - p * p / 2 - w * w * q * q / 2 - h * im_b / 2
+
+        period = 2 * mp.pi / w
+
+        def integral(lo, hi):
+            pieces = max(1, int(mp.ceil(16 * (hi - lo) / period)))
+            return mp.quad(rate, mp.linspace(lo, hi, pieces + 1))
+
+        whole = integral(0, period)
+        turns = [mp.floor(mp.mpf(z) / period) for z in zs]
+        rests = [mp.mpf(z) - k * period for z, k in zip(zs, turns)]
+        out = np.empty(len(zs))
+        done, lo = mp.mpf(0), mp.mpf(0)
+        for i in sorted(range(len(zs)), key=lambda i: rests[i]):
+            done += integral(lo, rests[i])
+            lo = rests[i]
+            out[i] = float(turns[i] * whole + done)
+    return out

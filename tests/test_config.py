@@ -87,6 +87,8 @@ ESCAPES = [
     ("filter", ("name",), "."),
     ("scenario", ("name",), "a\\b"),
     ("filter", ("name",), "a\0b"),
+    ("scenario", ("gaussian", "dz"), 1e-30),
+    ("filter", ("dz",), 1e-30),
 ]
 
 
@@ -116,6 +118,30 @@ def test_escaping_name_writes_nothing(kind, tmp_path, monkeypatch):
     config.write_text(json.dumps(replaced(doc, ("name",), "../../escaped")))
     assert main([command, str(config), "--quiet"]) == EXIT_CONFIG
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "config.json"]
+
+
+@pytest.mark.parametrize(
+    "kind, changes, field",
+    [
+        ("scenario", [(("gaussian", "dz"), 1e-30)], "gaussian.dz"),
+        ("scenario", [(("propagators",), ["grid"]), (("grid", "dz"), 1e-30)], "grid.dz"),
+        ("filter", [(("dz",), 1e-30)], "dz"),
+    ],
+)
+def test_step_count_must_fit(kind, changes, field):
+    # 1e-30 fails before any allocation; a count that fits but is huge would not
+    doc, cls, _ = DOCUMENTS[kind]
+    for path, value in changes:
+        doc = replaced(doc, path, value)
+    with pytest.raises(ConfigError, match=rf"^{field} = 1e-30 gives"):
+        cls.from_dict(doc)
+
+
+def test_step_override_must_fit(tmp_path, capsys):
+    argv = ["run-builtin", "fig7-top", "--dz", "1e-30", "--z-max", "1e-3"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out"), "--quiet"]) == EXIT_CONFIG
+    assert "gaussian.dz = 1e-30" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_only_scenario_keeps_n_zero():

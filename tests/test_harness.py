@@ -141,6 +141,12 @@ class TestRunScenario:
         assert rep.sup_norm_rel_error < 1e-10
         assert rep.renormalized_intensity_l2 < 1e-10
 
+    def test_trajectories_record_the_step_taken(self):
+        # z_max = 1 at dz = 0.3 takes three steps of 1/3
+        result = run_scenario(small_config(gaussian=GaussianSettings(dz=0.3), sample_stride=1))
+        assert result.trajectories["gaussian"].dz == 1.0 / 3
+        assert result.trajectories["oracle"].dz == 1.0 / 3
+
     def test_grid_comparison_on_quadratic(self):
         cfg = small_config(propagators=("gaussian", "grid"), z_max=2.0)
         result = run_scenario(cfg)
