@@ -20,10 +20,8 @@ from .closed_forms import (
     OscillatorSolution,
     adaptive_simpson,
     b_evolution,
-    center_evolution,
     center_solution,
     forcing_ratio,
-    norm_evolution,
     quadratic_trajectory,
     reduced_forcing_center_solution,
     short_distance,
@@ -75,34 +73,27 @@ from .harness import (
 from .potentials import (
     DEFAULT_CONSTANTS,
     FreeSpace,
-    HermitianVariant,
-    IndexProfilePotential,
     PhysicalConstants,
     Potential,
     PotentialSample,
     PtTanhGaussian,
     QuadraticLinear,
-    hbar_from_wavelength,
     hermitian_variant,
-    potential_from_index,
 )
 from .scenarios import scenario_library
 
 __all__ = [
     "__version__",
     # potentials
-    "PhysicalConstants", "DEFAULT_CONSTANTS", "hbar_from_wavelength",
-    "PotentialSample", "Potential", "PtTanhGaussian", "QuadraticLinear",
-    "FreeSpace", "HermitianVariant", "IndexProfilePotential",
-    "hermitian_variant", "potential_from_index",
+    "PhysicalConstants", "DEFAULT_CONSTANTS", "PotentialSample", "Potential",
+    "PtTanhGaussian", "QuadraticLinear", "FreeSpace", "hermitian_variant",
     # dynamics
     "GaussianParams", "Trajectory", "rhs", "center_acceleration", "widths",
     "integrate", "reconstruct_wavefunction",
     # closed forms
     "b_evolution", "forcing_ratio", "OscillatorSolution", "center_solution",
-    "reduced_forcing_center_solution", "center_evolution",
-    "stationary_width_solution", "norm_evolution", "adaptive_simpson",
-    "short_distance", "width_drift_rate", "quadratic_trajectory",
+    "reduced_forcing_center_solution", "stationary_width_solution",
+    "adaptive_simpson", "short_distance", "width_drift_rate", "quadratic_trajectory",
     # grid
     "GridSpec", "GridState", "GridObservables", "propagate", "observables",
     "renormalized_intensity",

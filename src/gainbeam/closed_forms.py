@@ -30,9 +30,7 @@ __all__ = [
     "OscillatorSolution",
     "center_solution",
     "reduced_forcing_center_solution",
-    "center_evolution",
     "stationary_width_solution",
-    "norm_evolution",
     "adaptive_simpson",
     "ShortDistanceResult",
     "short_distance",
@@ -238,13 +236,6 @@ def reduced_forcing_center_solution(
     return _driven_solution(q0, p0, b0, gamma, omega, 1.0)
 
 
-def center_evolution(
-    q0: float, p0: float, b0: complex, gamma: float, omega: float, z
-):
-    """Beam center at distance z for general initial width."""
-    return center_solution(q0, p0, b0, gamma, omega).q(z)
-
-
 def stationary_width_solution(
     q0: float, p0: float, gamma: float, omega: float, z, hbar: float = 1.0
 ):
@@ -307,19 +298,6 @@ def adaptive_simpson(
     fm = eval_at(0.5 * (a + b))
     whole = simpson(fa, fm, fb, b - a)
     return recurse(a, b, fa, fm, fb, whole, abs_tol, 48)
-
-
-def norm_evolution(q_solution, gamma: float, hbar: float, z: float) -> float:
-    """N(z) / N0 = exp((gamma / hbar) integral_0^z q(s) ds).
-
-    ``q_solution`` is either a callable z -> q (quadrature by adaptive
-    Simpson, absolute tolerance 1e-10) or an :class:`OscillatorSolution`,
-    in which case the integral is evaluated in closed form.
-    """
-    if isinstance(q_solution, OscillatorSolution):
-        return float(np.exp((gamma / hbar) * q_solution.q_integral(z)))
-    integral = adaptive_simpson(q_solution, 0.0, z, abs_tol=1e-10)
-    return math.exp((gamma / hbar) * integral)
 
 
 class ShortDistanceResult(NamedTuple):

@@ -365,7 +365,10 @@ class FilterConfig(_Record):
         if any(p > self.z_max for p in self.probe_z):
             raise ConfigError("probe_z values must lie in (0, z_max]")
         _unit_n_zero(self.constants, "a filter experiment")
-        step_count(self.z_max, self.dz)
+        dz_eff = self.z_max / step_count(self.z_max, self.dz)
+        for probe in self.probe_z:
+            if abs(round(probe / dz_eff) * dz_eff - probe) > 1e-9:
+                raise ConfigError(f"probe_z {probe} does not land on the step grid (dz={dz_eff})")
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterConfig":

@@ -85,9 +85,6 @@ class GridState:
             )
         self.amplitudes = amps
 
-    def copy(self) -> "GridState":
-        return GridState(self.spec, self.amplitudes.copy(), self.z)
-
 
 @dataclass(frozen=True)
 class GridObservables:

@@ -22,12 +22,11 @@ import numpy as np
 
 from . import __version__
 from .closed_forms import quadratic_trajectory, width_drift_rate
-from .config import FilterConfig, ScenarioConfig
+from .config import FilterConfig, ScenarioConfig, build_potential
 from .dynamics import GaussianParams, Trajectory, integrate, reconstruct_wavefunction
 from .errors import ConfigError, NumericalAbortError, WidthCollapseError
 from .grid import observables, propagate, renormalized_intensity, schedule
 from .outputs import write_csv, write_heatmap_csv, write_manifest
-from .potentials import QuadraticLinear
 
 __all__ = [
     "ObservableSeries",
@@ -219,12 +218,10 @@ def _run_gaussian(config: ScenarioConfig, initial: GaussianParams, potential):
 
 
 def _run_oracle(config: ScenarioConfig, initial: GaussianParams, potential):
-    # built from the validated dict: the closed forms read omega and gamma,
-    # which a hermitian variant or an instrumented potential does not expose
-    quad = QuadraticLinear(
-        omega=config.potential["omega"],
-        gamma=0.0 if config.potential["hermitian"] else config.potential["gamma"],
-    )
+    # built from the validated dict, not taken from config.build_potential():
+    # the closed forms read omega and gamma, which an instrumented potential
+    # need not expose
+    quad = build_potential(config.potential)
     _, dz_eff, steps = _schedule(config, "oracle")
     zs = [k * dz_eff for k in steps]
     samples = quadratic_trajectory(initial, quad, zs, hbar=config.constants.hbar)
@@ -423,14 +420,8 @@ def filter_experiment(config: FilterConfig, out_dir: str | None = None) -> Filte
     centers = np.array([c["q"] for c in columns])
     beam_widths = np.array([c["delta_q"] for c in columns])
 
-    probe_indices = {}
-    for probe in config.probe_z:
-        idx = int(round(probe / trajectories[0].dz))
-        if idx >= len(zs) or abs(zs[idx] - probe) > 1e-9:
-            raise ConfigError(
-                f"probe_z {probe} does not land on the sample grid (dz={trajectories[0].dz})"
-            )
-        probe_indices[probe] = idx
+    # FilterConfig has checked that every probe lands on a step
+    probe_indices = {probe: round(probe / trajectories[0].dz) for probe in config.probe_z}
 
     pairs = []
     for i, j in combinations(range(len(config.widths)), 2):
@@ -499,6 +490,4 @@ def _write_filter_outputs(report: FilterReport, out_dir: str):
         + [np.abs(report.centers[p.index_a] - report.centers[p.index_b]) for p in report.pairs]
     )
     write_csv(os.path.join(out_dir, "filter_separations.csv"), header, table)
-    write_manifest(
-        os.path.join(out_dir, "manifest.txt"), config.to_dict(), __version__, None, None
-    )
+    write_manifest(os.path.join(out_dir, "manifest.txt"), config, __version__)

@@ -9,7 +9,7 @@ a partial file.
 import json
 import os
 
-from .config import ScenarioConfig
+from .config import FilterConfig, ScenarioConfig
 
 __all__ = [
     "format_number",
@@ -70,17 +70,16 @@ def _flatten(prefix: str, value, out: list):
         out.append((prefix, json.dumps(value)))
 
 
-def write_manifest(path, config: ScenarioConfig | dict, tool_version: str,
+def write_manifest(path, config: ScenarioConfig | FilterConfig, tool_version: str,
                    derived: dict | None = None, report: dict | None = None):
-    """Key-value manifest holding everything needed to re-run the scenario.
+    """Key-value manifest holding everything needed to repeat the run.
 
     ``config.*`` keys reconstruct the configuration exactly (see
     :func:`read_manifest_config`); ``derived.*`` and ``report.*`` keys are
     informational only.
     """
-    cfg_dict = config.to_dict() if isinstance(config, ScenarioConfig) else dict(config)
     pairs: list = []
-    _flatten("config", cfg_dict, pairs)
+    _flatten("config", config.to_dict(), pairs)
     for section, data in (("derived", derived), ("report", report)):
         if data:
             _flatten(section, data, pairs)
@@ -100,8 +99,12 @@ def _unflatten(pairs: dict) -> dict:
     return root
 
 
-def read_manifest_config(path) -> ScenarioConfig:
-    """Reconstruct the ScenarioConfig recorded in a manifest."""
+def read_manifest_config(path) -> ScenarioConfig | FilterConfig:
+    """Reconstruct the configuration recorded in a manifest.
+
+    A recorded config with ``widths`` is a FilterConfig, any other a
+    ScenarioConfig.
+    """
     pairs = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -114,4 +117,6 @@ def read_manifest_config(path) -> ScenarioConfig:
                 pairs[key[len("config."):]] = json.loads(raw.strip())
     if not pairs:
         raise ValueError(f"no config entries found in manifest {path}")
-    return ScenarioConfig.from_dict(_unflatten(pairs))
+    recorded = _unflatten(pairs)
+    cls = FilterConfig if "widths" in recorded else ScenarioConfig
+    return cls.from_dict(recorded)

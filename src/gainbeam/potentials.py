@@ -13,29 +13,23 @@ two views only:
 Derivatives returned by ``sample`` are hand-derived closed forms, not
 finite differences: they sit inside a Runge-Kutta right-hand side that is
 evaluated millions of times and must be smooth to machine precision.
-Finite differences appear only in ``IndexProfilePotential`` as a fallback
-for user-supplied refractive-index profiles without derivative data.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PhysicalConstants",
     "DEFAULT_CONSTANTS",
-    "hbar_from_wavelength",
     "PotentialSample",
     "Potential",
     "PtTanhGaussian",
     "QuadraticLinear",
     "FreeSpace",
-    "HermitianVariant",
-    "IndexProfilePotential",
     "hermitian_variant",
-    "potential_from_index",
 ]
 
 
@@ -60,13 +54,6 @@ class PhysicalConstants:
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 
-def hbar_from_wavelength(wavelength: float) -> float:
-    """Effective hbar for a given vacuum wavelength (lambda / 2 pi)."""
-    if not wavelength > 0:
-        raise ValueError("wavelength must be positive")
-    return wavelength / (2.0 * math.pi)
-
-
 class PotentialSample(NamedTuple):
     """Value and first two derivatives of both potential parts at one point."""
 
@@ -89,14 +76,8 @@ class Potential:
         raise NotImplementedError
 
     def value(self, x):
-        """Complex V on an array of positions. Default: pointwise ``sample``."""
-        xs = np.asarray(x, dtype=float)
-        out = np.empty(xs.shape, dtype=complex)
-        flat = out.reshape(-1)
-        for i, xi in enumerate(xs.reshape(-1)):
-            s = self.sample(float(xi))
-            flat[i] = complex(s.v_real, s.v_imag)
-        return out
+        """Complex V on an array of positions."""
+        raise NotImplementedError
 
     def describe(self) -> dict:
         """Plain-data description used in manifests and trajectory metadata."""
@@ -219,98 +200,13 @@ class FreeSpace(Potential):
         return {"kind": "free_space"}
 
 
-@dataclass(frozen=True)
-class HermitianVariant(Potential):
-    """Same real part as the wrapped potential, imaginary part identically zero."""
-
-    base: Potential
-
-    def sample(self, q: float) -> PotentialSample:
-        s = self.base.sample(q)
-        return PotentialSample(s.v_real, 0.0, s.dv_real, 0.0, s.d2v_real, 0.0)
-
-    def value(self, x):
-        return np.asarray(self.base.value(x)).real.astype(complex)
-
-    def describe(self) -> dict:
-        d = dict(self.base.describe())
-        d["hermitian"] = True
-        return d
-
-
 def hermitian_variant(potential: Potential) -> Potential:
-    """Drop gain and loss: keep V_R, zero V_I. Idempotent."""
-    if isinstance(potential, HermitianVariant):
-        return potential
-    return HermitianVariant(potential)
+    """The same potential without gain and loss: gamma set to 0.
 
-
-@dataclass(frozen=True)
-class IndexProfilePotential(Potential):
-    """Effective potential derived from a (complex) refractive-index profile.
-
-        V(x) = (n0^2 - n(x)^2) / (2 n0)
-
-    Derivatives of V come from user-supplied profile derivatives when
-    given, else from central finite differences with step
-    1e-6 * max(1, |x|). Prefer analytic derivatives for production runs.
+    V_I is proportional to gamma for every potential kind, so this keeps
+    V_R and zeroes V_I. A potential with no gamma, or with gamma already
+    0, is returned as it is, which makes the call idempotent.
     """
-
-    n_profile: Callable[[float], complex]
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
-    dn: Callable[[float], complex] | None = None
-    d2n: Callable[[float], complex] | None = None
-
-    def _v(self, x: float) -> complex:
-        n = complex(self.n_profile(x))
-        if not (math.isfinite(n.real) and math.isfinite(n.imag)):
-            raise ValueError(f"refractive index profile is non-finite at x={x!r}")
-        n0 = self.constants.n_zero
-        return (n0 * n0 - n * n) / (2.0 * n0)
-
-    def sample(self, q: float) -> PotentialSample:
-        v = self._v(q)
-        if self.dn is not None and self.d2n is not None:
-            n0 = self.constants.n_zero
-            n = complex(self.n_profile(q))
-            d1 = complex(self.dn(q))
-            d2 = complex(self.d2n(q))
-            dv = -n * d1 / n0
-            d2v = -(d1 * d1 + n * d2) / n0
-        else:
-            h = 1e-6 * max(1.0, abs(q))
-            vp = self._v(q + h)
-            vm = self._v(q - h)
-            dv = (vp - vm) / (2.0 * h)
-            d2v = (vp - 2.0 * v + vm) / (h * h)
-        out = PotentialSample(v.real, v.imag, dv.real, dv.imag, d2v.real, d2v.imag)
-        if not all(map(math.isfinite, out)):
-            raise ValueError(f"index-profile potential is non-finite near x={q!r}")
-        return out
-
-    def value(self, x):
-        xs = np.asarray(x, dtype=float)
-        try:
-            n = np.asarray(self.n_profile(xs), dtype=complex)
-            if n.shape != xs.shape:
-                raise TypeError
-        except TypeError:
-            n = np.array([complex(self.n_profile(float(xi))) for xi in xs.reshape(-1)],
-                         dtype=complex).reshape(xs.shape)
-        if not np.all(np.isfinite(n.real) & np.isfinite(n.imag)):
-            raise ValueError("refractive index profile is non-finite on the grid")
-        n0 = self.constants.n_zero
-        return (n0 * n0 - n * n) / (2.0 * n0)
-
-    def describe(self) -> dict:
-        return {"kind": "index_profile", "n_zero": self.constants.n_zero}
-
-
-def potential_from_index(
-    n_profile: Callable[[float], complex],
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    dn: Callable[[float], complex] | None = None,
-    d2n: Callable[[float], complex] | None = None,
-) -> IndexProfilePotential:
-    """Build the effective potential V = (n0^2 - n^2) / (2 n0) from an index profile."""
-    return IndexProfilePotential(n_profile, constants, dn, d2n)
+    if getattr(potential, "gamma", 0.0) == 0.0:
+        return potential
+    return replace(potential, gamma=0.0)

@@ -1,0 +1,38 @@
+"""The names the benchmark's tracer patches exist, and are restored.
+
+``bench/tracing.install`` replaces gainbeam functions and methods by name
+for a traced pass. Deleting or renaming one of them in ``src`` breaks the
+benchmark; this test makes it fail the test suite as well.
+"""
+
+import importlib
+import os
+
+import numpy as np
+
+from gainbeam import cli, closed_forms, config, harness
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+# every namespace install patches
+OWNERS = (np.fft, closed_forms, config.ScenarioConfig, config.FilterConfig, cli, harness)
+
+
+def test_tracing_install_restores_every_patched_name(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    tracing = importlib.import_module("tracing")
+    before = [dict(vars(owner)) for owner in OWNERS]
+    with tracing.install(tracing.Tracer()):
+        patched = [
+            (owner, name)
+            for owner, saved in zip(OWNERS, before)
+            for name, value in vars(owner).items()
+            if saved.get(name) is not value
+        ]
+    assert {name for _, name in patched} >= {
+        "fft", "adaptive_simpson", "build_potential", "from_dict", "run_scenario", "integrate",
+    }
+    for owner, saved in zip(OWNERS, before):
+        now = vars(owner)
+        assert now.keys() == saved.keys()
+        assert all(now[name] is value for name, value in saved.items())

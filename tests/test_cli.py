@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import time
 
 import pytest
 
@@ -142,6 +143,26 @@ class TestFilterCommand:
         assert main(["filter", str(cfg), "--out-dir", str(out)]) == EXIT_OK
         assert (out / "filter_rates.csv").exists()
         assert "predicted rate 1.5" in capsys.readouterr().out
+
+    def test_probe_off_grid_fails_before_integrating(self, tmp_path, capsys):
+        # 200000 steps per beam: checked only after the integration, this
+        # probe would cost seconds before the command failed
+        doc = {
+            "schema_version": 1,
+            "name": "cli-probe",
+            "widths": [[0.0, 0.5], [0.0, 2.0]],
+            "z_max": 20.0,
+            "dz": 1e-4,
+            "probe_z": [0.00015],
+        }
+        cfg = tmp_path / "filter.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "f"
+        start = time.perf_counter()
+        assert main(["filter", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+        assert "probe_z" in capsys.readouterr().err
 
     def test_filter_bad_config(self, tmp_path):
         cfg = tmp_path / "filter.json"

@@ -12,10 +12,8 @@ from gainbeam.closed_forms import (
     OscillatorSolution,
     adaptive_simpson,
     b_evolution,
-    center_evolution,
     center_solution,
     forcing_ratio,
-    norm_evolution,
     quadratic_trajectory,
     reduced_forcing_center_solution,
     short_distance,
@@ -245,36 +243,38 @@ class TestCenterEvolution:
         assert full_res > 0.1
         assert full_res == pytest.approx(1.5, abs=0.01)
 
-    def test_center_evolution_wrapper(self):
-        assert center_evolution(0.0, -1.0, 1j, 1.0, 1.0, 5.0) == pytest.approx(0.0, abs=1e-12)
+    def test_stationary_beam_stays_at_origin(self):
+        # p0 = -gamma / omega with B0 = i omega: the beam center never moves
+        sol = center_solution(0.0, -1.0, 1j, 1.0, 1.0)
+        assert sol.q(5.0) == pytest.approx(0.0, abs=1e-12)
 
 
-class TestNormEvolution:
+class TestNormQuadrature:
+    # N(z) / N0 = exp(gamma integral_0^z q ds), the integral by adaptive Simpson
     def test_zero_center(self):
-        assert norm_evolution(lambda z: 0.0, 1.0, 1.0, 10.0) == 1.0
+        assert math.exp(1.0 * adaptive_simpson(lambda z: 0.0, 0.0, 10.0)) == 1.0
 
     def test_constant_center(self):
-        assert norm_evolution(lambda z: 2.0, 0.7, 1.0, 3.0) == pytest.approx(
+        assert math.exp(0.7 * adaptive_simpson(lambda z: 2.0, 0.0, 3.0)) == pytest.approx(
             math.exp(0.7 * 2.0 * 3.0), rel=1e-10
         )
 
     def test_closed_form_matches_quadrature(self):
         sol = center_solution(1.0, 0.3, 0.4 + 0.8j, 1.2, 1.0)
         for z in (0.5, 2.0, 7.7):
-            closed = norm_evolution(sol, 1.2, 1.0, z)
-            quad = norm_evolution(lambda s: float(sol.q(s)), 1.2, 1.0, z)
-            assert closed == pytest.approx(quad, rel=1e-10)
+            quad = math.exp(1.2 * adaptive_simpson(lambda s: float(sol.q(s)), 0.0, z))
+            assert sol.norm_ratio(z) == pytest.approx(quad, rel=1e-10)
 
     def test_stationary_case_closed_form(self):
         for z in (0.0, 1.0, 4.4):
             _, _, want = stationary_width_solution(1.5, 0.2, 0.9, 1.0, z)
             sol = center_solution(1.5, 0.2, 1j, 0.9, 1.0)
-            got = norm_evolution(lambda s: float(sol.q(s)), 0.9, 1.0, z)
+            got = math.exp(0.9 * adaptive_simpson(lambda s: float(sol.q(s)), 0.0, z))
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            norm_evolution(lambda z: math.inf, 1.0, 1.0, 1.0)
+            adaptive_simpson(lambda z: math.inf, 0.0, 1.0)
 
 
 class TestAdaptiveSimpson:
@@ -339,7 +339,7 @@ class TestShortDistance:
             [
                 abs(
                     short_distance(q0, p0, b0, gamma, omega, z).norm_ratio
-                    - norm_evolution(sol, gamma, 1.0, z)
+                    - float(sol.norm_ratio(z))
                 )
                 for z in zs
             ]

@@ -141,6 +141,16 @@ class TestRunScenario:
         assert rep.sup_norm_rel_error < 1e-10
         assert rep.renormalized_intensity_l2 < 1e-10
 
+    def test_oracle_on_hermitian_potential(self):
+        # hermitian: true runs the closed forms with gamma = 0: no gain, no loss
+        cfg = small_config(
+            potential={"kind": "quadratic_linear", "omega": 1.0, "gamma": 1.0, "hermitian": True},
+            initial=InitialBeam(q0=0.5, p0=0.3, b0=0.5 + 1.2j),
+        )
+        result = run_scenario(cfg)
+        assert result.reports[("gaussian", "oracle")].sup_q_error <= 1e-9
+        assert np.all(result.series["oracle"].norm == 1.0)
+
     def test_trajectories_record_the_step_taken(self):
         # z_max = 1 at dz = 0.3 takes three steps of 1/3
         result = run_scenario(small_config(gaussian=GaussianSettings(dz=0.3), sample_stride=1))
@@ -334,11 +344,8 @@ class TestFilterExperiment:
         assert report.pairs[0].measured_rates[0.01] == pytest.approx(1.5, rel=0.05)
 
     def test_probe_off_grid_rejected(self):
-        cfg = FilterConfig(
-            name="bad", widths=(0.5j, 2j), z_max=1.0, dz=3e-4, probe_z=(0.001,)
-        )
         with pytest.raises(ConfigError, match="probe_z"):
-            filter_experiment(cfg)
+            FilterConfig(name="bad", widths=(0.5j, 2j), z_max=1.0, dz=3e-4, probe_z=(0.001,))
 
     def test_needs_two_widths(self):
         with pytest.raises(ConfigError, match="two widths"):
@@ -353,3 +360,20 @@ class TestFilterExperiment:
         assert (tmp_path / "filter_rates.csv").exists()
         assert (tmp_path / "filter_separations.csv").exists()
         assert (tmp_path / "manifest.txt").exists()
+
+    def test_manifest_roundtrip(self, tmp_path):
+        cfg = FilterConfig(
+            name="rt",
+            widths=(0.5j, 0.3 + 1j),
+            q0=0.2,
+            potential={"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1.0, "eta": 5.0},
+            z_max=0.02,
+            dz=1e-3,
+            probe_z=(0.01,),
+        )
+        filter_experiment(cfg, out_dir=str(tmp_path / "a"))
+        parsed = read_manifest_config(tmp_path / "a" / "manifest.txt")
+        assert parsed == cfg
+        filter_experiment(parsed, out_dir=str(tmp_path / "b"))
+        for name in ("filter_rates.csv", "filter_separations.csv", "manifest.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -1,17 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from gainbeam.potentials import (
     FreeSpace,
-    IndexProfilePotential,
     PhysicalConstants,
+    Potential,
     PtTanhGaussian,
     QuadraticLinear,
-    hbar_from_wavelength,
     hermitian_variant,
-    potential_from_index,
 )
 
 TANH = PtTanhGaussian(gamma=1.0, omega=1.0, eta=10.0)
@@ -65,6 +61,11 @@ class TestSamples:
 
     def test_free_space(self):
         assert fields(FreeSpace().sample(3.0)) == (0.0,) * 6
+
+    def test_base_class_has_no_default_value(self):
+        # a potential that reaches the grid must say how to evaluate itself there
+        with pytest.raises(NotImplementedError):
+            Potential().value(np.zeros(4))
 
     def test_value_matches_sample(self):
         xs = np.linspace(-25, 25, 11)
@@ -120,55 +121,17 @@ class TestHermitianVariant:
         for x in (-12.0, 0.5, 7.0):
             assert fields(herm_t.sample(x)) == pytest.approx(fields(bare_t.sample(x)))
 
+    def test_sets_gamma_to_zero(self):
+        assert hermitian_variant(QuadraticLinear(1, 1)) == QuadraticLinear(1, 0)
+
+    def test_potential_without_gamma_returned_as_is(self):
+        free = FreeSpace()
+        assert hermitian_variant(free) is free
+
     def test_idempotent(self):
         once = hermitian_variant(TANH)
         twice = hermitian_variant(once)
         assert twice is once
-
-
-class TestIndexProfile:
-    def test_constant_index_gives_zero(self):
-        pot = potential_from_index(lambda x: 1.0)
-        s = pot.sample(2.0)
-        assert s.v_real == pytest.approx(0.0, abs=1e-12)
-        assert s.v_imag == 0.0
-        assert np.allclose(pot.value(np.linspace(-5, 5, 64)), 0.0)
-
-    def test_small_contrast_first_order(self):
-        delta = 1e-4
-        pot = potential_from_index(lambda x: 1.0 + delta * math.exp(-x * x))
-        v = pot.sample(0.0).v_real
-        assert v == pytest.approx(-delta, abs=1e-8)
-
-    def test_exact_arithmetic(self):
-        pot = potential_from_index(lambda x: 1.01)
-        assert pot.sample(0.0).v_real == pytest.approx((1 - 1.0201) / 2, abs=1e-12)
-
-    def test_supplied_derivatives_match_fallback(self):
-        n = lambda x: 1.0 + 0.05 * math.sin(x)
-        dn = lambda x: 0.05 * math.cos(x)
-        d2n = lambda x: -0.05 * math.sin(x)
-        with_derivs = potential_from_index(n, dn=dn, d2n=d2n)
-        fallback = potential_from_index(n)
-        for x in (-2.0, 0.0, 0.7, 4.0):
-            a, b = with_derivs.sample(x), fallback.sample(x)
-            assert a.dv_real == pytest.approx(b.dv_real, rel=1e-6, abs=1e-8)
-            assert a.d2v_real == pytest.approx(b.d2v_real, rel=1e-3, abs=1e-3)
-
-    def test_complex_index(self):
-        # weak gain: n = n0 + i*kappa gives V_I ~ -n0*kappa... sign per V=(n0^2-n^2)/2n0
-        kappa = 1e-3
-        pot = potential_from_index(lambda x: 1.0 + 1j * kappa)
-        s = pot.sample(0.0)
-        assert s.v_imag == pytest.approx(-kappa, rel=1e-3)
-
-    def test_non_finite_profile_rejected(self):
-        pot = potential_from_index(lambda x: math.inf)
-        with pytest.raises(ValueError):
-            pot.sample(0.0)
-        pot2 = IndexProfilePotential(lambda x: math.nan)
-        with pytest.raises(ValueError):
-            pot2.value(np.array([0.0, 1.0]))
 
 
 class TestValidation:
@@ -183,8 +146,3 @@ class TestValidation:
             PhysicalConstants(hbar=0.0)
         with pytest.raises(ValueError):
             PhysicalConstants(n_zero=-1.0)
-
-    def test_hbar_from_wavelength(self):
-        assert hbar_from_wavelength(2.0 * math.pi) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            hbar_from_wavelength(0.0)
