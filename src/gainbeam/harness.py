@@ -61,6 +61,10 @@ class ObservableSeries:
     x: np.ndarray | None = None
 
     def restricted(self, indices) -> "ObservableSeries":
+        # indices are increasing and distinct, so all of them is the series
+        # itself, whose arrays are then read in place rather than copied
+        if len(indices) == len(self.z):
+            return self
         return ObservableSeries(
             label=self.label,
             z=self.z[indices],
@@ -172,7 +176,8 @@ def compare(series_a: ObservableSeries, series_b: ObservableSeries) -> Compariso
     ):
         dx = series_a.x[1] - series_a.x[0]
         diff = series_a.intensity - series_b.intensity
-        l2 = np.sqrt((diff * diff).sum(axis=1) * dx)
+        diff *= diff
+        l2 = np.sqrt(diff.sum(axis=1) * dx)
     else:
         l2 = np.full(series_a.z.shape, np.nan)
     table = np.column_stack([series_a.z, q_err, norm_err, l2])

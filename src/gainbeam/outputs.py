@@ -1,18 +1,21 @@
 """CSV and manifest writers.
 
 All numeric output uses 17 significant digits so doubles round-trip
-losslessly; newlines are Unix; files are written atomically (temp file in
-the target directory, then rename) so concurrent scenario runs never see
-a partial file.
+losslessly; newlines are Unix; CSV rows are formatted and written one at a
+time, so memory does not grow with the row count; files are written
+atomically (temp file in the target directory, then rename) so concurrent
+scenario runs never see a partial file.
 """
 
 import json
 import os
+from itertools import chain
+
+import numpy as np
 
 from .config import FilterConfig, ScenarioConfig
 
 __all__ = [
-    "format_number",
     "atomic_write_text",
     "write_csv",
     "write_heatmap_csv",
@@ -23,11 +26,15 @@ __all__ = [
 MANIFEST_FORMAT = "gainbeam-manifest/1"
 
 
-def format_number(x) -> str:
-    return f"{float(x):.17g}"
+def atomic_write_text(path, text):
+    """Write ``text``, one string or an iterable of lines, to ``path`` atomically.
 
-
-def atomic_write_text(path, text: str):
+    The lines are streamed into a temp file in the target directory, which
+    then replaces ``path``; on any exception the temp file is removed and
+    an existing ``path`` keeps its bytes.
+    """
+    if isinstance(text, str):
+        text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     # opened like any new file, mode 0o666 less the umask (tempfile.mkstemp
@@ -36,7 +43,7 @@ def atomic_write_text(path, text: str):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -46,20 +53,30 @@ def atomic_write_text(path, text: str):
         raise
 
 
+def _number_lines(rows, width: int):
+    """Yield each row as one CSV line of ``width`` numbers, formatted as it is reached.
+
+    ``"%.17g" % v`` is byte for byte ``f"{float(v):.17g}"``, for ints, +-0,
+    +-inf, nan and subnormals too. A row of another length is a ValueError.
+    """
+    line = ",".join(["%.17g"] * width) + "\n"
+    for i, row in enumerate(rows):
+        cells = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
+        if len(cells) != width:
+            raise ValueError(f"row {i} has {len(cells)} values, expected {width}")
+        yield line % cells
+
+
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = _number_lines(rows, len(header))
+    atomic_write_text(path, chain([",".join(header) + "\n"], lines))
 
 
 def write_heatmap_csv(path, x, zs, matrix):
     """Matrix of renormalized intensity: rows are z samples, columns grid points."""
-    header = ["z"] + [format_number(xi) for xi in x]
-    lines = [",".join(header)]
-    for z, row in zip(zs, matrix):
-        lines.append(",".join([format_number(z)] + [format_number(v) for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "z," + next(_number_lines([x], len(x)))
+    rows = ((z, *row.tolist()) for z, row in zip(zs, matrix, strict=True))
+    atomic_write_text(path, chain([header], _number_lines(rows, len(x) + 1)))
 
 
 def _flatten(prefix: str, value, out: list):

@@ -6,6 +6,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gainbeam
 from gainbeam.closed_forms import (
@@ -95,6 +97,20 @@ class TestBEvolution:
             once = b_evolution(b_evolution(b0, 1.0, z1), 1.0, z2)
             direct = b_evolution(b0, 1.0, z1 + z2)
             assert abs(once - direct) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        re_b0=st.floats(-3.0, 3.0),
+        im_b0=st.floats(0.05, 5.0),
+        omega=st.floats(0.1, 3.0),
+        z1=st.floats(0.0, 30.0),
+        z2=st.floats(0.0, 30.0),
+    )
+    def test_group_law(self, re_b0, im_b0, omega, z1, z2):
+        b0 = complex(re_b0, im_b0)
+        composed = b_evolution(b_evolution(b0, omega, z1), omega, z2)
+        direct = b_evolution(b0, omega, z1 + z2)
+        assert abs(composed - direct) <= 1e-11 * max(abs(direct), 1.0)
 
     def test_upper_half_plane_preserved(self):
         rng = np.random.default_rng(3)

@@ -124,6 +124,28 @@ def test_integrate_step_is_rk4_of_rhs(pot, q, p, re_b, im_b, alpha, norm, h):
         assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    pot=POTENTIALS.map(hermitian_variant),
+    q=st.floats(-2.0, 2.0),
+    p=st.floats(-1.0, 1.0),
+    re_b=st.floats(-1.0, 1.0),
+    im_b=st.floats(0.3, 3.0),
+    norm=st.floats(0.1, 10.0),
+)
+def test_hermitian_limit_conserves_norm(pot, q, p, re_b, im_b, norm):
+    # with V_I = 0 every split-operator step is unitary, and the RK4 rate
+    # of log N is exactly 0
+    g0 = GaussianParams(q, p, complex(re_b, im_b), norm)
+    samples = propagate(
+        reconstruct_wavefunction(g0, GridSpec(16.0, 256)), pot, 0.5, dz=1e-3, sample_stride=100
+    )
+    norms = np.array([observables(state).norm for _, state in samples])
+    assert np.all(np.abs(norms / norms[0] - 1.0) <= 1e-12)
+    traj = integrate(g0, pot, 0.5, dz=1e-3, sample_stride=100)
+    assert np.all(traj.columns()["norm"] == norm)
+
+
 class TestWidths:
     @pytest.mark.parametrize(
         "b,expected",
