@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import GaussianParams
+from .dynamics import GaussianParams, Trajectory
 from .potentials import QuadraticLinear
 
 __all__ = [
@@ -430,8 +430,8 @@ def quadratic_trajectory(
     potential: QuadraticLinear,
     z_values,
     hbar: float = 1.0,
-) -> list:
-    """Closed-form (z, GaussianParams) samples under a QuadraticLinear potential.
+) -> Trajectory:
+    """Closed-form samples under a QuadraticLinear potential, as a Trajectory.
 
     q, p, B and N come from the closed forms above, evaluated on the whole
     array of ``z_values`` (non-decreasing, from z >= 0). The phase obeys
@@ -461,20 +461,19 @@ def quadratic_trajectory(
     of about eps z, which moves alpha by eps z max|alpha'|.
     """
     omega, gamma = potential.omega, potential.gamma
-    z = np.asarray(z_values, dtype=float)
+    z = np.array(z_values, dtype=float)
     # a Python loop: numpy's any/diff would page in code on every run
     zs = z.tolist()
     if any(hi < lo for lo, hi in zip([0.0, *zs], zs)):
         raise ValueError("z_values must be non-decreasing")
     sol = center_solution(initial.q, initial.p, initial.b, gamma, omega)
-    columns = (
+    b = b_evolution(initial.b, omega, z)
+    return Trajectory(
+        z,
         sol.q(z),
         sol.p(z),
-        b_evolution(initial.b, omega, z),
+        b.real,
+        b.imag,
         initial.norm * sol.norm_ratio(z, hbar=hbar),
         initial.alpha + _phase_change(sol, hbar, z),
     )
-    return [
-        (zi, GaussianParams(q=q, p=p, b=b, norm=norm, alpha=alpha))
-        for zi, q, p, b, norm, alpha in zip(zs, *(c.tolist() for c in columns))
-    ]

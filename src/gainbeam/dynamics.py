@@ -75,29 +75,49 @@ class GaussianDerivatives(NamedTuple):
     dalpha: float
 
 
+_FIELDS = ("z", "q", "p", "re_b", "im_b", "norm", "alpha")
+
+
 @dataclass
 class Trajectory:
-    """Ordered samples (z, GaussianParams) from one integration.
+    """The samples of one propagation, one float array per parameter.
 
-    z is strictly increasing and the first sample is the initial
-    condition at z = 0.
+    z is non-decreasing. A stepped run starts from the initial condition
+    at z = 0, its z increases strictly, and ``dz`` is its step; closed-form
+    samples at arbitrary z carry ``dz`` None.
     """
 
-    samples: list
-    dz: float
-    potential: dict
+    z: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    re_b: np.ndarray
+    im_b: np.ndarray
+    norm: np.ndarray
+    alpha: np.ndarray
+    dz: float | None = None
 
     @property
     def zs(self) -> np.ndarray:
-        return np.array([z for z, _ in self.samples])
+        """The z column."""
+        return self.z
+
+    @property
+    def samples(self) -> list:
+        """(z, GaussianParams) pairs, rebuilt on every access: loops index the columns."""
+        return [
+            (z, GaussianParams(q, p, complex(re_b, im_b), norm, alpha))
+            for z, q, p, re_b, im_b, norm, alpha in zip(
+                *(getattr(self, name).tolist() for name in _FIELDS)
+            )
+        ]
+
+    def __iter__(self):
+        return iter(self.samples)
 
     def columns(self) -> dict:
         """Column arrays (z, q, p, re_b, im_b, norm, alpha, delta_q, delta_p)."""
-        table = np.array(
-            [(z, g.q, g.p, g.b.real, g.b.imag, g.norm, g.alpha) for z, g in self.samples]
-        )
-        cols = dict(zip(("z", "q", "p", "re_b", "im_b", "norm", "alpha"), table.T))
-        cols["delta_q"], cols["delta_p"] = _widths(cols["re_b"], cols["im_b"])
+        cols = {name: getattr(self, name) for name in _FIELDS}
+        cols["delta_q"], cols["delta_p"] = _widths(self.re_b, self.im_b)
         return cols
 
 
@@ -207,10 +227,14 @@ def integrate(
     br, bi = initial.b.real, initial.b.imag
     ln, al = 0.0, initial.alpha
 
-    traj = Trajectory(samples=[(0.0, initial)], dz=dz_eff, potential=potential.describe())
+    # one tuple per sample, in the order of Trajectory's array fields
+    rows = [(0.0, q, p, br, bi, initial.norm, al)]
+
+    def record():
+        return Trajectory(*np.array(rows).T, dz=dz_eff)
 
     def collapse(bi, z):
-        return WidthCollapseError(f"Im B reached {bi:.6g} at z={z:.6g}", z=z, partial=traj)
+        return WidthCollapseError(f"Im B reached {bi:.6g} at z={z:.6g}", z=z, partial=record())
 
     def stage(q, p, br, bi, z):
         if bi <= 0.0:
@@ -242,20 +266,13 @@ def integrate(
             and math.isfinite(bi) and math.isfinite(ln) and math.isfinite(al)
         ):
             raise NumericalAbortError(
-                f"state became non-finite by z={z_now:.6g}", z=z_now, partial=traj
+                f"state became non-finite by z={z_now:.6g}", z=z_now, partial=record()
             )
         if bi <= 0.0:
             raise collapse(bi, z_now)
         if step in sampled:
-            traj.samples.append(
-                (
-                    z_now,
-                    GaussianParams(
-                        q, p, complex(br, bi), _norm_from_log(ln, initial.norm), al
-                    ),
-                )
-            )
-    return traj
+            rows.append((z_now, q, p, br, bi, _norm_from_log(ln, initial.norm), al))
+    return record()
 
 
 def reconstruct_wavefunction(

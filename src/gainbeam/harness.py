@@ -78,13 +78,6 @@ class ObservableSeries:
         )
 
 
-def _gaussian_intensity(params: GaussianParams, x: np.ndarray, hbar: float) -> np.ndarray:
-    # renormalized |psi|^2 of the ansatz in closed form (norm-independent)
-    im_b = params.b.imag
-    u = x - params.q
-    return math.sqrt(im_b / (math.pi * hbar)) * np.exp(-im_b * u * u / hbar)
-
-
 def _observe_trajectory(traj: Trajectory, label: str, config, with_intensity: bool):
     cols = traj.columns()
     intensity = None
@@ -92,7 +85,12 @@ def _observe_trajectory(traj: Trajectory, label: str, config, with_intensity: bo
     if with_intensity:
         x = config.grid_spec().positions()
         hbar = config.constants.hbar
-        intensity = np.array([_gaussian_intensity(g, x, hbar) for _, g in traj.samples])
+        # renormalized |psi|^2 of the ansatz in closed form (norm-independent),
+        # sqrt(Im B / (pi hbar)) exp(-Im B (x - q)^2 / hbar), one row per sample
+        im_b, u = traj.im_b[:, None], x - traj.q[:, None]
+        intensity = -im_b * u * u / hbar
+        np.exp(intensity, out=intensity)
+        intensity *= np.sqrt(im_b / (math.pi * hbar))
     series = ObservableSeries(
         label=label,
         z=cols["z"],
@@ -115,7 +113,9 @@ def _observe_grid(samples, label: str, config, with_intensity: bool):
         x = None
         if with_intensity:
             x = samples[0][1].spec.positions()
-            intensity = np.array([renormalized_intensity(state) for _, state in samples])
+            intensity = np.empty((len(samples), len(x)))
+            for row, (_, state) in zip(intensity, samples):
+                row[:] = renormalized_intensity(state)
     series = ObservableSeries(
         label=label,
         z=np.array([z for z, _ in samples]),
@@ -229,8 +229,9 @@ def _run_oracle(config: ScenarioConfig, initial: GaussianParams, potential):
     quad = build_potential(config.potential)
     _, dz_eff, steps = _schedule(config, "oracle")
     zs = [k * dz_eff for k in steps]
-    samples = quadratic_trajectory(initial, quad, zs, hbar=config.constants.hbar)
-    return Trajectory(samples=samples, dz=dz_eff, potential=quad.describe())
+    traj = quadratic_trajectory(initial, quad, zs, hbar=config.constants.hbar)
+    traj.dz = dz_eff
+    return traj
 
 
 def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
@@ -396,7 +397,7 @@ class FilterReport:
     config: FilterConfig
     z: np.ndarray
     centers: np.ndarray  # (n_beams, n_samples)
-    widths: np.ndarray  # (n_beams, n_samples) current delta_q
+    widths: np.ndarray  # (n_beams, n_samples) physical delta_q, sqrt(hbar / (2 Im B))
     pairs: list
 
 
@@ -408,7 +409,7 @@ def filter_experiment(config: FilterConfig, out_dir: str | None = None) -> Filte
     short-distance separation rate slope * (1/Im b_a - 1/Im b_b) -- where
     slope is the gain derivative at q0 -- the measured rate
     |q_a(z) - q_b(z)| / z at each probe distance, and the first z at
-    which the separation exceeds the sum of the two current beam widths.
+    which the separation exceeds the summed physical widths sqrt(hbar / (2 Im B)).
     """
     potential = config.build_potential()
     slope = potential.sample(config.q0).dv_imag
@@ -420,10 +421,10 @@ def filter_experiment(config: FilterConfig, out_dir: str | None = None) -> Filte
         )
         for b0 in config.widths
     ]
-    zs = trajectories[0].zs
-    columns = [t.columns() for t in trajectories]
-    centers = np.array([c["q"] for c in columns])
-    beam_widths = np.array([c["delta_q"] for c in columns])
+    zs = trajectories[0].z
+    centers = np.array([t.q for t in trajectories])
+    scale = math.sqrt(config.constants.hbar)
+    beam_widths = np.array([scale * t.columns()["delta_q"] for t in trajectories])
 
     # FilterConfig has checked that every probe lands on a step
     probe_indices = {probe: round(probe / trajectories[0].dz) for probe in config.probe_z}

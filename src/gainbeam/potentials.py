@@ -79,10 +79,6 @@ class Potential:
         """Complex V on an array of positions."""
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        """Plain-data description used in manifests and trajectory metadata."""
-        return {"kind": type(self).__name__}
-
 
 @dataclass(frozen=True)
 class PtTanhGaussian(Potential):
@@ -142,14 +138,6 @@ class PtTanhGaussian(Potential):
         t = np.tanh(xs / self.eta)
         return -g + 1j * (self.gamma / self.eta) * t * g
 
-    def describe(self) -> dict:
-        return {
-            "kind": "pt_tanh_gaussian",
-            "gamma": self.gamma,
-            "omega": self.omega,
-            "eta": self.eta,
-        }
-
 
 @dataclass(frozen=True)
 class QuadraticLinear(Potential):
@@ -182,9 +170,6 @@ class QuadraticLinear(Potential):
         xs = np.asarray(x, dtype=float)
         return 0.5 * self.omega**2 * xs**2 + 1j * self.gamma * xs
 
-    def describe(self) -> dict:
-        return {"kind": "quadratic_linear", "omega": self.omega, "gamma": self.gamma}
-
 
 @dataclass(frozen=True)
 class FreeSpace(Potential):
@@ -195,9 +180,6 @@ class FreeSpace(Potential):
 
     def value(self, x):
         return np.zeros(np.asarray(x, dtype=float).shape, dtype=complex)
-
-    def describe(self) -> dict:
-        return {"kind": "free_space"}
 
 
 def hermitian_variant(potential: Potential) -> Potential:

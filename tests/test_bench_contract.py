@@ -1,8 +1,10 @@
-"""The names the benchmark's tracer patches exist, and are restored.
+"""What the benchmark reads of gainbeam exists, and patched names are restored.
 
 ``bench/tracing.install`` replaces gainbeam functions and methods by name
-for a traced pass. Deleting or renaming one of them in ``src`` breaks the
-benchmark; this test makes it fail the test suite as well.
+for a traced pass, and ``bench/layers.py`` and ``bench/workloads.py`` read
+trajectories and filter reports by attribute. Deleting or renaming one of
+them in ``src`` breaks the benchmark; these tests make it fail the test
+suite as well.
 """
 
 import importlib
@@ -11,7 +13,8 @@ import os
 
 import numpy as np
 
-from gainbeam import cli, closed_forms, config, harness, outputs
+from gainbeam import cli, closed_forms, config, dynamics, harness, outputs
+from gainbeam.potentials import QuadraticLinear
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -46,3 +49,27 @@ def test_writers_take_the_output_path_first():
         first = next(iter(inspect.signature(writer).parameters.values()))
         assert first.name == "path"
         assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_trajectory_reads():
+    # bench/layers.py tabulates columns() by TRAJECTORY_COLUMNS and sizes a
+    # heatmap by len(traj.samples) against traj.zs
+    initial = dynamics.GaussianParams(q=1.0, p=0.0, b=1j)
+    traj = dynamics.integrate(initial, QuadraticLinear(1.0, 1.0), 0.1, dz=1e-3, sample_stride=10)
+    columns = traj.columns()
+    assert set(columns) >= set(harness.TRAJECTORY_COLUMNS)
+    assert all(len(columns[name]) == 11 for name in harness.TRAJECTORY_COLUMNS)
+    assert len(traj.samples) == 11
+    assert np.array_equal(traj.zs, columns["z"])
+
+
+def test_filter_report_reads():
+    # bench/workloads.py checks report.z, report.centers, report.pairs and
+    # report.config.widths
+    cfg = config.FilterConfig(name="contract", widths=(0.5j, 1j, 2j), z_max=0.01, dz=1e-3,
+                              probe_z=(0.01,))
+    report = harness.filter_experiment(cfg)
+    assert report.config is cfg
+    assert len(report.pairs) == 3
+    assert report.z.shape == (11,)
+    assert report.centers.shape == (3, 11)

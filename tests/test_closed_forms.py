@@ -416,8 +416,8 @@ class TestQuadraticTrajectory:
         pot = QuadraticLinear(omega=omega, gamma=gamma)
         g0 = GaussianParams(0.3, -0.4, complex(0.1, im_b0), alpha=0.25)
         dense = np.linspace(0.0, 30.0, 61)
-        got = [s.alpha for _, s in quadratic_trajectory(g0, pot, dense, hbar=hbar)]
-        got += [quadratic_trajectory(g0, pot, [z], hbar=hbar)[0][1].alpha for z in (30.0, 1000.0)]
+        got = quadratic_trajectory(g0, pot, dense, hbar=hbar).alpha.tolist()
+        got += [quadratic_trajectory(g0, pot, [z], hbar=hbar).alpha[0] for z in (30.0, 1000.0)]
         want = 0.25 + _alpha_reference(g0, gamma, omega, hbar, [*dense, 30.0, 1000.0])
         err = np.abs(np.array(got) - want)
         assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want))), err.max()

@@ -164,6 +164,16 @@ class TestWidths:
             widths(GaussianParams(0.0, 0.0, -1j))
 
 
+def assert_partial_run(exc, g0):
+    # the samples taken before the abort: equal columns from the initial
+    # condition at z = 0, strictly increasing and short of the abort's z
+    partial = exc.partial
+    assert len({len(column) for column in partial.columns().values()}) == 1
+    assert partial.samples[0] == (0.0, g0)
+    assert np.all(np.diff(partial.z) > 0)
+    assert partial.z[-1] < exc.z
+
+
 class TestIntegrate:
     def test_free_riccati(self):
         traj = integrate(GaussianParams(0.0, 0.0, 1j), FreeSpace(), 1.0, dz=1e-3)
@@ -240,20 +250,24 @@ class TestIntegrate:
             def sample(self, q):
                 return PotentialSample(0.0, q * q, 0.0, 2 * q, 0.0, 2.0)
 
+        g0 = GaussianParams(0.0, 0.0, 1j)
         with pytest.raises(WidthCollapseError) as err:
-            integrate(GaussianParams(0.0, 0.0, 1j), ImaginaryFocusing(), 2.0, dz=1e-3)
+            integrate(g0, ImaginaryFocusing(), 2.0, dz=1e-3)
         assert err.value.z is not None
         assert 0.3 < err.value.z < 0.7
-        assert err.value.partial is not None
+        assert_partial_run(err.value, g0)
+        assert len(err.value.partial.z) > 100
 
     def test_non_finite_aborts(self):
         class Broken(Potential):
             def sample(self, q):
                 return PotentialSample(0.0, 0.0, math.nan, 0.0, 0.0, 0.0)
 
+        g0 = GaussianParams(0.0, 0.0, 1j)
         with pytest.raises(NumericalAbortError) as err:
-            integrate(GaussianParams(0.0, 0.0, 1j), Broken(), 1.0, dz=1e-3)
+            integrate(g0, Broken(), 1.0, dz=1e-3)
         assert err.value.z is not None
+        assert_partial_run(err.value, g0)
 
     def test_strong_gain_uses_log_norm(self):
         # constant gain of 80 per unit length: norm reaches e^160 without overflow
@@ -302,12 +316,11 @@ class TestCenterAcceleration:
 
     def test_matches_trajectory_curvature(self):
         traj = integrate(GaussianParams(-4.0, 0.0, 0.5j), TANH, 5.0, dz=1e-3, sample_stride=1)
-        cols = traj.columns()
-        q, z = cols["q"], cols["z"]
+        q, z = traj.q, traj.z
         dz = z[1] - z[0]
         for i in range(1, len(q) - 1, 50):
             fd = (q[i + 1] - 2 * q[i] + q[i - 1]) / (dz * dz)
-            _, g = traj.samples[i]
+            g = GaussianParams(q[i], traj.p[i], complex(traj.re_b[i], traj.im_b[i]))
             assert center_acceleration(g, TANH.sample(g.q)) == pytest.approx(fd, abs=1e-4)
 
 
@@ -346,7 +359,7 @@ class TestReconstruct:
         )[-1]
         ref = reconstruct_wavefunction(g, spec, constants=constants).amplitudes
         assert np.linalg.norm(state.amplitudes - ref) <= 1e-6 * np.linalg.norm(ref)
-        _, exact = quadratic_trajectory(g0, QUAD_SMALL_GAIN, [2.0], hbar=0.5)[-1]
+        _, exact = quadratic_trajectory(g0, QUAD_SMALL_GAIN, [2.0], hbar=0.5).samples[-1]
         assert abs(exact.alpha - g.alpha) < 1e-9
 
     def test_narrow_grid_warns(self):

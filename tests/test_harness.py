@@ -11,6 +11,7 @@ from gainbeam.config import (
     InitialBeam,
     ScenarioConfig,
 )
+from gainbeam.dynamics import GaussianParams, integrate
 from gainbeam.errors import BoundaryContaminationWarning, ConfigError, NarrowGridWarning
 from gainbeam.harness import ObservableSeries, compare, filter_experiment, run_scenario
 from gainbeam.outputs import read_manifest_config
@@ -156,6 +157,27 @@ class TestRunScenario:
         result = run_scenario(small_config(gaussian=GaussianSettings(dz=0.3), sample_stride=1))
         assert result.trajectories["gaussian"].dz == 1.0 / 3
         assert result.trajectories["oracle"].dz == 1.0 / 3
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_gaussian_intensity_is_the_closed_form(self, hbar):
+        # every row of an RK4 or oracle heatmap is the renormalized |psi|^2
+        # of the ansatz, sqrt(Im B / (pi hbar)) exp(-Im B (x - q)^2 / hbar)
+        cfg = small_config(
+            initial=InitialBeam(q0=0.4, p0=-0.6, b0=0.3 + 0.9j),
+            heatmap=True,
+            constants=PhysicalConstants(hbar=hbar),
+        )
+        result = run_scenario(cfg)
+        x = cfg.grid_spec().positions()
+        for name in ("gaussian", "oracle"):
+            traj = result.trajectories[name]
+            want = np.empty((len(traj.z), len(x)))
+            for row, q, im_b in zip(want, traj.q.tolist(), traj.im_b.tolist()):
+                u = x - q
+                row[:] = math.sqrt(im_b / (math.pi * hbar)) * np.exp(-im_b * u * u / hbar)
+            series = result.series[name]
+            assert np.array_equal(series.x, x)
+            assert np.array_equal(series.intensity, want)
 
     def test_grid_comparison_on_quadratic(self):
         cfg = small_config(propagators=("gaussian", "grid"), z_max=2.0)
@@ -330,6 +352,29 @@ class TestFilterExperiment:
         idx = int(round(pair.resolvability_z / cfg.dz))
         sep = abs(report.centers[0][idx] - report.centers[1][idx])
         assert sep > report.widths[0][idx] + report.widths[1][idx]
+
+    def test_resolvability_uses_physical_widths(self):
+        # the separation is physical, so the widths it is held against are
+        # too: sqrt(hbar) / sqrt(2 Im B), not the hbar = 1 delta_q column
+        hbar = 0.25
+        cfg = FilterConfig(
+            name="hbar", widths=(0.5j, 2j), z_max=2.0, dz=1e-3, probe_z=(0.1,),
+            constants=PhysicalConstants(hbar=hbar),
+        )
+        report = filter_experiment(cfg)
+        pair = report.pairs[0]
+        assert pair.resolvability_z == pytest.approx(1.33, abs=1e-9)
+        idx = int(round(pair.resolvability_z / cfg.dz))
+        sep = np.abs(report.centers[0] - report.centers[1])
+        assert sep[idx] > report.widths[0][idx] + report.widths[1][idx]
+        assert np.all(sep[1:idx] <= report.widths[0][1:idx] + report.widths[1][1:idx])
+        for i, b0 in enumerate(cfg.widths):
+            traj = integrate(
+                GaussianParams(0.0, 0.0, b0), cfg.build_potential(), 2.0, dz=1e-3,
+                constants=cfg.constants,
+            )
+            physical = np.sqrt(hbar / (2 * traj.im_b))
+            assert np.allclose(report.widths[i], physical, rtol=1e-15, atol=0)
 
     def test_works_on_tanh_potential(self):
         cfg = FilterConfig(
