@@ -342,30 +342,13 @@ def width_drift_rate(b0: complex, gamma: float) -> float:
     return gamma / b0.imag
 
 
-# 12-point Gauss-Legendre rule on [-1, 1]: nodes +-x, weights w. Written
-# out because importing numpy.polynomial for leggauss costs every run memory.
-_GL_X = (
-    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
-    0.7699026741943047, 0.9041172563704749, 0.9815606342467192,
-)
-_GL_W = (
-    0.24914704581340277, 0.2334925365383548, 0.20316742672306592,
-    0.16007832854334622, 0.10693932599531843, 0.04717533638651183,
-)
-# [0, u] in 4 panels: for |u| <= pi / omega each panel is at most
-# pi / (4 omega) < 1 / omega long. Nodes as fractions of u, and their
-# weights; built from lists so that importing runs no numpy routine
-_PANELS = 4
-_FRACTIONS = np.array([
-    (j + 0.5 * (1.0 + sign * x)) / _PANELS
-    for j in range(_PANELS) for sign in (-1.0, 1.0) for x in _GL_X
-])
-_WEIGHTS = np.array([w / (2 * _PANELS) for _ in range(2 * _PANELS) for w in _GL_W])
-# samples per block of quadrature: each temporary holds 32 x 48 nodes
-# (12 kB); blocks of 128 raised an oracle run's peak RSS by 2 MB more
-_BLOCK = 32
 # pi - _PI_LO rounds to math.pi; together they hold pi to about 1e-32
 _PI_LO = 1.2246467991473532e-16
+# alpha' less its -hbar Im B / 2 term is a trig polynomial of degree
+# _HARMONICS in omega z; _NODES equispaced samples over one period give its
+# Fourier coefficients exactly, as long as _NODES > 2 _HARMONICS
+_HARMONICS = 4
+_NODES = 16
 
 
 def _two_product(a, b):
@@ -384,45 +367,46 @@ def _split(a):
     return hi, a - hi
 
 
-def _reduce(phi, turns: int):
-    """(k, r) with phi = k turns pi + r and |r| <= turns pi / 2, to eps |r|.
+def _reduce(phi):
+    """(k, r) with phi = 2 pi k + r and |r| <= pi, to eps |r|.
 
-    ``phi`` is a pair (hi, lo) of arrays holding phi = hi + lo. k turns pi
-    is formed exactly in two parts, and hi minus its leading part is exact
+    ``phi`` is a pair (hi, lo) of arrays holding phi = hi + lo. 2 pi k is
+    formed exactly in two parts, and hi minus its leading part is exact
     (Sterbenz), so r is not rounded against phi itself.
     """
     hi, lo = phi
-    k = np.rint(hi / (turns * math.pi))
-    p, e = _two_product(k, turns * math.pi)
-    return k, (hi - p) + ((lo - e) - k * (turns * _PI_LO))
+    k = np.rint(hi / (2.0 * math.pi))
+    p, e = _two_product(k, 2.0 * math.pi)
+    return k, (hi - p) + ((lo - e) - k * (2.0 * _PI_LO))
 
 
 def _phase_change(sol: OscillatorSolution, hbar: float, z: np.ndarray) -> np.ndarray:
-    """integral_0^z of alpha' for an array z (see quadratic_trajectory)."""
+    """integral_0^z alpha' for an array z, in closed form (see quadratic_trajectory)."""
     omega, gamma, b0 = sol.omega, sol.gamma, sol.b0
-    phi = _two_product(omega, z)
+    turns, theta = _reduce(_two_product(omega, z))
+    sin_theta = np.sin(theta)
     # -hbar Im B / 2 integrates to -(hbar / 2) arg D
-    m, theta = _reduce(phi, 1)
-    s = np.sin(theta)
-    arg_d = m * math.pi + np.arctan2(b0.imag * s, b0.real * s + omega * np.cos(theta))
-    # the rest: its mean times z, plus the integral of rest - mean over
-    # [0, u], u = z modulo the period with |u| <= pi / omega
-    mean = -0.5 * (gamma / omega) ** 2
-    _, angle = _reduce(phi, 2)
-    spans = angle / omega
-    rest = np.empty_like(spans)
-    for i in range(0, spans.size, _BLOCK):
-        u = spans[i : i + _BLOCK]
-        t = u[:, None] * _FRACTIONS
-        c, s = np.cos(omega * t), np.sin(omega * t)
-        # with p = q' - gamma / Im B, p q' - p^2/2 = (q'^2 - (gamma / Im B)^2) / 2
-        gamma_over_im_b = gamma * ((b0.real * s + omega * c) ** 2 + (b0.imag * s) ** 2) / (
-            omega * omega * b0.imag
-        )
-        qd, q = sol.q_dot(t), sol.q(t)
-        f = 0.5 * (qd * qd - omega * omega * q * q - gamma_over_im_b * gamma_over_im_b)
-        rest[i : i + _BLOCK] = u * ((f - mean) * _WEIGHTS).sum(axis=1)
-    return -0.5 * hbar * arg_d + mean * z + rest
+    arg_d = 2.0 * math.pi * turns + np.arctan2(
+        b0.imag * sin_theta, b0.real * sin_theta + omega * np.cos(theta)
+    )
+    # the rest at _NODES equispaced angles over one period; with
+    # p = q' - gamma / Im B, p q' - p^2/2 = (q'^2 - (gamma / Im B)^2) / 2
+    nodes = (2.0 * math.pi / _NODES) * np.arange(_NODES)
+    c, s = np.cos(nodes), np.sin(nodes)
+    gamma_over_im_b = gamma * ((b0.real * s + omega * c) ** 2 + (b0.imag * s) ** 2) / (
+        omega * omega * b0.imag
+    )
+    qd, q = sol.q_dot(nodes / omega), sol.q(nodes / omega)
+    f = 0.5 * (qd * qd - omega * omega * q * q - gamma_over_im_b * gamma_over_im_b)
+    # its mean times z, plus the integral of each harmonic
+    # a_k cos k wt + b_k sin k wt over [0, z]
+    ratio = gamma / omega
+    rest = -0.5 * ratio * ratio * z
+    for k in range(1, _HARMONICS + 1):
+        a_k = (2.0 / _NODES) * np.dot(f, np.cos(k * nodes))
+        b_k = (2.0 / _NODES) * np.dot(f, np.sin(k * nodes))
+        rest += (a_k * np.sin(k * theta) + b_k * (1.0 - np.cos(k * theta))) / (k * omega)
+    return -0.5 * hbar * arg_d + rest
 
 
 def quadratic_trajectory(
@@ -436,29 +420,23 @@ def quadratic_trajectory(
     q, p, B and N come from the closed forms above, evaluated on the whole
     array of ``z_values`` (non-decreasing, from z >= 0). The phase obeys
 
-        alpha' = p q' - p^2/2 - omega^2 q^2/2 - hbar Im B / 2.
+        alpha' = p q' - p^2/2 - omega^2 q^2/2 - hbar Im B / 2
 
-    Its last term integrates exactly: B = D'/D with
-    D = B0 sin wz + omega cos wz, so it contributes -(hbar/2) arg D(z).
-    arg D rises monotonically by pi every pi/omega; with m the integer
-    nearest wz/pi and z_r = z - m pi/omega,
+    and integrates exactly. B = D'/D with D = B0 sin wz + omega cos wz, so
+    the last term gives -(hbar/2) arg D. The rest is a trig polynomial of
+    degree 4 in wz, since 1/Im B = |D|^2 / (omega^2 Im B0). Its period mean
+    is exactly -gamma^2 / (2 omega^2), whatever q0, p0 and B0 (the free
+    oscillation's kinetic and potential parts cancel), and its harmonics
+    come from 16 equispaced samples over one period, exact below degree 8.
 
-        arg D = m pi + atan2(Im B0 sin wz_r, Re B0 sin wz_r + omega cos wz_r).
+    omega z = 2 pi m + theta, |theta| <= pi, is reduced once in double-double
+    arithmetic: against the rounded product, theta would be off by about
+    eps omega z, and alpha by eps z max|alpha'|. Im D = Im B0 sin theta, so D
+    is real only at theta = 0 (D = omega) and theta = +-pi (D = -omega), and
 
-    The other terms, p q' - p^2/2 - omega^2 q^2/2, form a trig polynomial
-    of period 2 pi/omega, because 1/Im B = |D|^2 / (omega^2 Im B0). Its
-    mean over a period is exactly -gamma^2 / (2 omega^2), whatever q0, p0
-    and B0: the free oscillation's kinetic and potential parts cancel, and
-    the 2 omega parts of q and of gamma / Im B leave only that constant.
-    So the rest contributes that mean times z, plus the integral of rest
-    minus mean over [0, z_u], z_u = z modulo the period taken between
-    -pi/omega and pi/omega. That last integral is 12-point Gauss-Legendre
-    on 4 panels (each under 1/omega long), so the cost per sample does not
-    grow with omega z.
+        arg D = 2 pi m + atan2(Im B0 sin theta, Re B0 sin theta + omega cos theta),
 
-    omega z is reduced modulo pi and 2 pi in double-double arithmetic:
-    reduced against the rounded products, z_r and z_u would carry an error
-    of about eps z, which moves alpha by eps z max|alpha'|.
+    the same from both sides of theta = +-pi, where m steps.
     """
     omega, gamma = potential.omega, potential.gamma
     z = np.array(z_values, dtype=float)

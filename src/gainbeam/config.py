@@ -10,7 +10,6 @@ Python and one read from JSON pass the same checks, and every bad value
 ends as a ConfigError.
 """
 
-import cmath
 import json
 import math
 from contextlib import contextmanager
@@ -101,13 +100,6 @@ def _positive(v, name: str) -> float:
     return x
 
 
-def _non_negative(v, name: str) -> float:
-    x = _number(v, name)
-    if x < 0:
-        raise ConfigError(f"{name} must be >= 0, got {x}")
-    return x
-
-
 def _count(v, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
@@ -130,8 +122,13 @@ def _file_name(v, name: str) -> str:
 def _width(v, name: str) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
         v = complex(_number(v[0], f"{name}[0]"), _number(v[1], f"{name}[1]"))
-    if not isinstance(v, complex) or not (cmath.isfinite(v) and v.imag > 0):
-        raise ConfigError(f"{name} must be a finite [re, im] with Im {name} > 0, got {v!r}")
+    # B enters the beam equations squared, so |B|^2 must be finite too
+    if not isinstance(v, complex) or not (
+        v.imag > 0 and math.isfinite(v.real * v.real + v.imag * v.imag)
+    ):
+        raise ConfigError(
+            f"{name} must be an [re, im] with Im {name} > 0 and |{name}|^2 finite, got {v!r}"
+        )
     return complex(v)
 
 
@@ -257,7 +254,7 @@ class InitialBeam(_Record):
     q0: float = _field(_number)
     p0: float = _field(_number)
     b0: complex = _field(_width)
-    norm0: float = _field(_non_negative, 1.0)
+    norm0: float = _field(_positive, 1.0)
     alpha0: float = _field(_number, 0.0)
 
 

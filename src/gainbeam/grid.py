@@ -57,6 +57,9 @@ class GridSpec:
         n = self.n_points
         if n < 256 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 256, got {n}")
+        # the largest wavenumber is pi n / (2 half_width)
+        if not math.isfinite(math.pi * n / self.half_width):
+            raise ValueError(f"half_width {self.half_width} is too small: wavenumbers overflow")
 
     @property
     def spacing(self) -> float:
@@ -189,10 +192,10 @@ def propagate(
     z = 0 and the last lands exactly on z_max.
 
     Raises NumericalAbortError if the field becomes non-finite (gain
-    overflow). Samples with more than 1% of |psi|^2 in the outer 5% of the
-    domain are counted, and one BoundaryContaminationWarning per call
-    reports their number, the first z and the largest edge mass, also
-    when the run aborts.
+    overflow) or |psi|^2 vanishes (loss underflow). Samples with more
+    than 1% of |psi|^2 in the outer 5% of the domain are counted, and one
+    BoundaryContaminationWarning per call reports their number, the first
+    z and the largest edge mass, also when the run aborts.
     """
     n_steps, dz_eff, sample_steps = schedule(z_max, dz, sample_stride)
     spec = initial.spec
@@ -221,15 +224,15 @@ def propagate(
             if step not in sampled:
                 continue
             z_now = step * dz_eff
-            if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
-                aborted_at = z_now
-                break
             density = np.abs(psi) ** 2
             mass = density.sum()
-            if mass > 0.0:
-                edge = density[edge_mask].sum() / mass
-                if edge > EDGE_MASS_LIMIT:
-                    contaminated.append((z_now, edge))
+            # non-finite: gain overflow; zero: loss has underflowed |psi|^2
+            if not (np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)) and mass > 0.0):
+                aborted_at = z_now
+                break
+            edge = density[edge_mask].sum() / mass
+            if edge > EDGE_MASS_LIMIT:
+                contaminated.append((z_now, edge))
             samples.append((z_now, GridState(spec, psi.copy(), z_now)))
     if contaminated:
         warnings.warn(
@@ -242,7 +245,8 @@ def propagate(
         )
     if aborted_at is not None:
         raise NumericalAbortError(
-            f"field became non-finite by z={aborted_at:.6g} (gain overflow?)",
+            f"field became non-finite or vanished by z={aborted_at:.6g} "
+            "(gain overflow or loss underflow?)",
             z=aborted_at,
             partial=samples,
         )

@@ -206,7 +206,6 @@ class ScenarioResult:
     reports: dict
     aborts: list
     trajectories: dict
-    grid_samples: list | None
     out_dir: str | None
     files: list
 
@@ -235,8 +234,16 @@ def _run_oracle(config: ScenarioConfig, initial: GaussianParams, potential):
 
 
 def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
+    state = reconstruct_wavefunction(initial, config.grid_spec(), constants=config.constants)
+    with np.errstate(over="ignore"):
+        mass = (np.abs(state.amplitudes) ** 2).sum()
+    if not mass > 0.0:
+        raise ConfigError(
+            "the initial beam puts no |psi|^2 on the grid: initial.norm0 is too small "
+            "or the beam lies outside [-half_width, half_width)"
+        )
     return propagate(
-        reconstruct_wavefunction(initial, config.grid_spec(), constants=config.constants),
+        state,
         potential,
         config.z_max,
         dz=config.grid.dz,
@@ -297,7 +304,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
     )
     with_intensity = config.heatmap or len(config.propagators) >= 2
 
-    raw: dict = {}
+    trajectories: dict = {}
     series: dict = {}
     tables: dict = {}
     aborts: list = []
@@ -305,12 +312,17 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         if name not in config.propagators:
             continue
         try:
-            raw[name] = prop.run(config, initial, potential)
+            samples = prop.run(config, initial, potential)
         except (WidthCollapseError, NumericalAbortError) as exc:
             aborts.append(PropagatorAbort(name, str(exc), exc.z))
-            raw[name] = exc.partial
-        series[name], header, rows = prop.observe(raw[name], name, config, with_intensity)
+            samples = exc.partial
+        series[name], header, rows = prop.observe(samples, name, config, with_intensity)
         tables[name] = (header, rows)
+        if isinstance(samples, Trajectory):
+            trajectories[name] = samples
+        # the grid's (z, GridState) list holds every field sample; nothing
+        # reads it once observed, so it is not kept through compare
+        del samples
 
     reports: dict = {}
     aborted = {a.propagator for a in aborts}
@@ -334,8 +346,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         series=series,
         reports=reports,
         aborts=aborts,
-        trajectories={n: r for n, r in raw.items() if isinstance(r, Trajectory)},
-        grid_samples=raw.get("grid"),
+        trajectories=trajectories,
         out_dir=out_dir,
         files=files,
     )

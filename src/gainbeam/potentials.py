@@ -80,6 +80,12 @@ class Potential:
         raise NotImplementedError
 
 
+def _check_scale(name: str, x: float):
+    # scales enter the potential squared: x^2 must neither overflow nor vanish
+    if not (x > 0 and 0.0 < x * x < math.inf):
+        raise ValueError(f"{name} must be positive with a finite, non-zero square, got {x}")
+
+
 @dataclass(frozen=True)
 class PtTanhGaussian(Potential):
     """Gaussian well of depth eta^2 with an odd tanh gain-loss profile.
@@ -101,10 +107,8 @@ class PtTanhGaussian(Potential):
     def __post_init__(self):
         for name in ("gamma", "omega", "eta"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        _check_scale("eta", self.eta)
+        _check_scale("omega", self.omega)
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
 
@@ -156,8 +160,7 @@ class QuadraticLinear(Potential):
     def __post_init__(self):
         for name in ("omega", "gamma"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        _check_scale("omega", self.omega)
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
 

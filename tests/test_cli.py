@@ -1,9 +1,12 @@
 import json
 import os
 import stat
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gainbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
@@ -168,3 +171,105 @@ class TestFilterCommand:
         cfg = tmp_path / "filter.json"
         cfg.write_text(json.dumps({"schema_version": 1, "name": "x", "widths": [[0, 1]]}))
         assert main(["filter", str(cfg)]) == EXIT_CONFIG
+
+
+
+# Scenario documents for the fuzz: ordinary values, then up to three leaves
+# set to an edge of their range. z_max <= 0.05, dz >= 1e-4 and
+# n_points <= 512 keep every run below 500 steps on at most 512 points.
+POTENTIAL_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("quadratic_linear"), "omega": st.floats(0.1, 3.0),
+         "gamma": st.floats(-3.0, 3.0), "hermitian": st.booleans()}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("pt_tanh_gaussian"), "gamma": st.floats(-3.0, 3.0),
+         "omega": st.floats(0.1, 3.0), "eta": st.floats(0.5, 10.0), "hermitian": st.booleans()}
+    ),
+    st.fixed_dictionaries({"kind": st.just("free_space"), "hermitian": st.booleans()}),
+)
+ORDINARY_DOCS = st.fixed_dictionaries(
+    {
+        "schema_version": st.just(1),
+        "name": st.just("cli-fuzz"),
+        "potential": POTENTIAL_DOCS,
+        "initial": st.fixed_dictionaries(
+            {
+                "q0": st.floats(-3.0, 3.0),
+                "p0": st.floats(-3.0, 3.0),
+                "b0": st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 3.0)).map(list),
+                "norm0": st.floats(0.1, 3.0),
+                "alpha0": st.floats(-3.0, 3.0),
+            }
+        ),
+        "propagators": st.lists(
+            st.sampled_from(["gaussian", "grid", "oracle"]), min_size=1, max_size=3, unique=True
+        ),
+        "z_max": st.floats(1e-3, 0.05),
+        "gaussian": st.fixed_dictionaries({"dz": st.floats(1e-4, 0.05)}),
+        "grid": st.fixed_dictionaries(
+            {
+                "half_width": st.floats(4.0, 40.0),
+                "n_points": st.sampled_from([256, 512]),
+                "dz": st.floats(1e-4, 0.05),
+            }
+        ),
+        "constants": st.fixed_dictionaries({"hbar": st.floats(0.1, 3.0), "n_zero": st.just(1.0)}),
+        "sample_stride": st.integers(1, 50),
+        "heatmap": st.booleans(),
+    }
+)
+NUMBER_EDGES = (0.0, -1.0, 5e-324, 1e-300, 1e300)
+# edges of the fields whose ordinary range bounds the work of a run
+EDGES = {
+    "z_max": (0.0, -0.01, 5e-324, 1e-300),
+    "dz": (0.0, -1e-3, 5e-324, 1e300),
+    "n_points": (0, 1, 255, 300),
+    "sample_stride": (0, 10**6),
+}
+
+
+def _numeric_leaves(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, prefix + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            if key != "schema_version":
+                yield prefix + (key,)
+
+
+@st.composite
+def scenario_docs(draw):
+    doc = draw(ORDINARY_DOCS)
+    leaves = list(_numeric_leaves(doc))
+    for _ in range(draw(st.integers(0, 3))):
+        *parents, key = draw(st.sampled_from(leaves))
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = draw(st.sampled_from(EDGES.get(key, NUMBER_EDGES)))
+    return doc
+
+
+ZERO_NORM = {
+    "schema_version": 1,
+    "name": "cli-fuzz",
+    "potential": {"kind": "quadratic_linear", "omega": 1.0, "gamma": 1.0},
+    "initial": {"q0": 0.0, "p0": -1.0, "b0": [0.0, 1.0], "norm0": 0.0},
+    "propagators": ["gaussian", "grid"],
+    "z_max": 0.01,
+    "grid": {"half_width": 8.0, "n_points": 256, "dz": 1e-3},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@example(doc=ZERO_NORM)
+@given(doc=scenario_docs())
+def test_run_exits_with_a_code_on_any_document(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = main(["run", cfg, "--out-dir", os.path.join(tmp, "out"), "--quiet"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO)

@@ -397,9 +397,37 @@ class TestQuadraticTrajectory:
             with pytest.raises(ValueError):
                 quadratic_trajectory(g0, pot, zs)
 
+    @pytest.mark.parametrize("hbar", [0.5, 1.0])
+    def test_alpha_continuous_where_the_reduction_switches(self, hbar):
+        # omega z is reduced modulo 2 pi, so the turn count steps at odd
+        # multiples of pi, where D = B0 sin wz + omega cos wz crosses the
+        # negative real axis; a small Im B0 and a negative Re B0 make arg D
+        # turn fastest there. Even multiples are where the rest's harmonics
+        # restart. Across each point alpha moves by at most max|alpha'| dz
+        omega, gamma = 1.3, 0.6
+        pot = QuadraticLinear(omega=omega, gamma=gamma)
+        g0 = GaussianParams(0.3, -0.4, complex(-0.8, 0.05), alpha=0.25)
+        period = quadratic_trajectory(
+            g0, pot, np.linspace(0.0, 2 * math.pi / omega, 20001), hbar=hbar
+        )
+        p, q = period.p, period.q
+        q_dot = p + gamma / period.im_b
+        rate = p * q_dot - p * p / 2 - omega**2 * q * q / 2 - hbar * period.im_b / 2
+        max_rate = np.abs(rate).max()
+        odd = [(2 * j + 1) * math.pi for j in range(6)]
+        even = [2 * j * math.pi for j in range(1, 6)]
+        for centre in odd + even:
+            for delta in (1e-6, 1e-9, 1e-12):
+                lo, hi = (centre - delta) / omega, (centre + delta) / omega
+                alpha = quadratic_trajectory(g0, pot, [lo, hi], hbar=hbar).alpha
+                jump = abs(alpha[1] - alpha[0])
+                assert jump <= max_rate * (hi - lo) + 1e-13 * max(1.0, abs(alpha[0])), (
+                    centre, delta, jump
+                )
+
     def test_import_leaves_out_numpy_polynomial(self):
-        # the Gauss-Legendre rule is written out: importing numpy.polynomial
-        # would add to every run's set-up time and peak memory
+        # importing numpy.polynomial (for a quadrature rule, say) would add
+        # to every run's set-up time and peak memory
         src = os.path.dirname(os.path.dirname(gainbeam.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, gainbeam; print('numpy.polynomial' in sys.modules)"

@@ -89,6 +89,12 @@ ESCAPES = [
     ("filter", ("name",), "a\0b"),
     ("scenario", ("gaussian", "dz"), 1e-30),
     ("filter", ("dz",), 1e-30),
+    ("scenario", ("initial", "norm0"), 0.0),
+    ("scenario", ("potential", "omega"), 1e300),
+    ("filter", ("potential", "omega"), 1e-170),
+    ("scenario", ("grid", "half_width"), 5e-324),
+    ("scenario", ("initial", "b0"), [1e300, 1.0]),
+    ("filter", ("widths", 0), [1.0, 1e200]),
 ]
 
 

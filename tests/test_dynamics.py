@@ -146,6 +146,38 @@ def test_hermitian_limit_conserves_norm(pot, q, p, re_b, im_b, norm):
     assert np.all(traj.columns()["norm"] == norm)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    pot=POTENTIALS.map(hermitian_variant),
+    q=st.floats(-2.0, 2.0),
+    p=st.floats(-1.0, 1.0),
+    re_b=st.floats(-1.0, 1.0),
+    im_b=st.floats(0.3, 3.0),
+)
+def test_hermitian_limit_conserves_energy(pot, q, p, re_b, im_b):
+    # with V_I = 0, q' = p and p' = -V_R'(q) are Hamilton's equations, so RK4
+    # keeps p^2/2 + V_R(q) to its truncation error (at most 9.4e-14 relative
+    # over the corners of these ranges). The grid's <H> = <hbar^2 k^2 / (2 n0)>
+    # + <V_R> drifts by the Strang splitting error, which scales as dz^2
+    # (at most 0.94 dz^2 relative over the same corners)
+    g0 = GaussianParams(q, p, complex(re_b, im_b))
+    traj = integrate(g0, pot, 0.5, dz=1e-3, sample_stride=100)
+    energy = traj.p**2 / 2 + np.array([pot.sample(x).v_real for x in traj.q])
+    assert np.all(np.abs(energy - energy[0]) <= 1e-12 * max(1.0, abs(energy[0])))
+    spec = GridSpec(16.0, 256)
+    k, v = spec.wavenumbers(), pot.value(spec.positions()).real
+    samples = propagate(reconstruct_wavefunction(g0, spec), pot, 0.5, dz=1e-3, sample_stride=100)
+    hamiltonian = []
+    for _, state in samples:
+        density = np.abs(state.amplitudes) ** 2
+        spectrum = np.abs(np.fft.fft(state.amplitudes)) ** 2
+        hamiltonian.append(
+            (spectrum * k * k / 2).sum() / spectrum.sum() + (density * v).sum() / density.sum()
+        )
+    drift = np.abs(np.array(hamiltonian) - hamiltonian[0])
+    assert np.all(drift <= 4 * 1e-3**2 * max(1.0, abs(hamiltonian[0])))
+
+
 class TestWidths:
     @pytest.mark.parametrize(
         "b,expected",

@@ -28,6 +28,8 @@ class TestGridSpec:
             GridSpec(10.0, 100)  # not a power of two
         with pytest.raises(ValueError):
             GridSpec(10.0, 128)  # below minimum
+        with pytest.raises(ValueError):
+            GridSpec(5e-324, 256)  # the spacing rounds to 0, the wavenumbers overflow
 
     def test_geometry(self):
         spec = GridSpec(8.0, 256)
@@ -182,6 +184,23 @@ class TestPropagate:
             propagate(psi0, HugeGain(), 2.0, dz=1e-2, sample_stride=1)
         assert err.value.z is not None
         assert err.value.partial
+
+    def test_underflow_aborts_with_z(self):
+        # a uniform loss shrinks |psi|^2 by exp(-2000 dz) per step: a faint
+        # field underflows to 0, which no observable can be taken of
+        class HugeLoss(Potential):
+            def sample(self, q):
+                return PotentialSample(0.0, -1000.0, 0.0, 0.0, 0.0, 0.0)
+
+            def value(self, x):
+                return np.full(np.shape(x), -1000.0j)
+
+        spec = GridSpec(8.0, 256)
+        psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j, norm=1e-100), spec)
+        with pytest.raises(NumericalAbortError, match="vanished") as err:
+            propagate(psi0, HugeLoss(), 2.0, dz=1e-2, sample_stride=1)
+        assert 0.0 < err.value.z < 2.0
+        assert all(observables(state).norm > 0.0 for _, state in err.value.partial)
 
 
 class TestExactlyQuadraticOracle:

@@ -223,6 +223,15 @@ class TestRunScenario:
         manifest = (tmp_path / "abort" / "manifest.txt").read_text()
         assert "aborts" in manifest
 
+    @pytest.mark.parametrize("q0, norm0", [(0.0, 1e-300), (1e3, 1.0)])
+    def test_beam_off_the_grid_is_config_error(self, q0, norm0):
+        # |psi|^2 of the initial field underflows everywhere on the grid
+        cfg = small_config(
+            initial=InitialBeam(q0=q0, p0=0.0, b0=1j, norm0=norm0), propagators=("grid",)
+        )
+        with pytest.raises(ConfigError, match="puts no"):
+            run_scenario(cfg)
+
     def test_outputs_written(self, tmp_path):
         import os
 
