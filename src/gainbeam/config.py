@@ -364,8 +364,10 @@ class FilterConfig(_Record):
         _unit_n_zero(self.constants, "a filter experiment")
         dz_eff = self.z_max / step_count(self.z_max, self.dz)
         for probe in self.probe_z:
-            if abs(round(probe / dz_eff) * dz_eff - probe) > 1e-9:
-                raise ConfigError(f"probe_z {probe} does not land on the step grid (dz={dz_eff})")
+            # a probe within 1e-9 of z = 0 would measure its rate as 0 / 0
+            step = round(probe / dz_eff)
+            if step < 1 or abs(step * dz_eff - probe) > 1e-9:
+                raise ConfigError(f"probe_z {probe} does not land on a step (dz={dz_eff})")
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterConfig":

@@ -236,30 +236,39 @@ def integrate(
     def collapse(bi, z):
         return WidthCollapseError(f"Im B reached {bi:.6g} at z={z:.6g}", z=z, partial=record())
 
-    def stage(q, p, br, bi, z):
-        if bi <= 0.0:
-            raise collapse(bi, z)
-        return _rates(q, p, br, bi, sample(q), hbar)
-
     h = dz_eff
     half = 0.5 * h
     sixth = h / 6.0
+    # Im B is checked before every stage, at the stage's z; the first stage's
+    # check is the previous step's last one, or the initial width check.
+    # qs and bis hold the next stage's q and Im B; the 1..4 locals are rates.
     for step in range(1, n_steps + 1):
         z0 = (step - 1) * dz_eff
-        k1 = stage(q, p, br, bi, z0)
-        k2 = stage(
-            q + half * k1[0], p + half * k1[1], br + half * k1[2], bi + half * k1[3], z0 + half
+        q1, p1, br1, bi1, ln1, al1 = _rates(q, p, br, bi, sample(q), hbar)
+        qs, bis = q + half * q1, bi + half * bi1
+        if bis <= 0.0:
+            raise collapse(bis, z0 + half)
+        q2, p2, br2, bi2, ln2, al2 = _rates(
+            qs, p + half * p1, br + half * br1, bis, sample(qs), hbar
         )
-        k3 = stage(
-            q + half * k2[0], p + half * k2[1], br + half * k2[2], bi + half * k2[3], z0 + half
+        qs, bis = q + half * q2, bi + half * bi2
+        if bis <= 0.0:
+            raise collapse(bis, z0 + half)
+        q3, p3, br3, bi3, ln3, al3 = _rates(
+            qs, p + half * p2, br + half * br2, bis, sample(qs), hbar
         )
-        k4 = stage(q + h * k3[0], p + h * k3[1], br + h * k3[2], bi + h * k3[3], z0 + h)
-        q += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        p += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        br += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        bi += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        ln += sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
-        al += sixth * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
+        qs, bis = q + h * q3, bi + h * bi3
+        if bis <= 0.0:
+            raise collapse(bis, z0 + h)
+        q4, p4, br4, bi4, ln4, al4 = _rates(
+            qs, p + h * p3, br + h * br3, bis, sample(qs), hbar
+        )
+        q += sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        p += sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        br += sixth * (br1 + 2.0 * br2 + 2.0 * br3 + br4)
+        bi += sixth * (bi1 + 2.0 * bi2 + 2.0 * bi3 + bi4)
+        ln += sixth * (ln1 + 2.0 * ln2 + 2.0 * ln3 + ln4)
+        al += sixth * (al1 + 2.0 * al2 + 2.0 * al3 + al4)
         z_now = step * dz_eff
         if not (
             math.isfinite(q) and math.isfinite(p) and math.isfinite(br)

@@ -126,15 +126,15 @@ class PtTanhGaussian(Potential):
         dt = sech2 / eta
         d2t = -2.0 * t * sech2 / (eta * eta)
         c = self.gamma / eta
-        # built positionally: with keywords this hot-path call takes twice as long
-        return PotentialSample(
+        # tuple.__new__ skips the NamedTuple constructor: half the cost on this hot path
+        return tuple.__new__(PotentialSample, (
             -g,  # v_real
             c * t * g,  # v_imag
             -dg,  # dv_real
             c * (dt * g + t * dg),  # dv_imag
             -d2g,  # d2v_real
             c * (d2t * g + 2.0 * dt * dg + t * d2g),  # d2v_imag
-        )
+        ))
 
     def value(self, x):
         xs = np.asarray(x, dtype=float)
@@ -167,7 +167,9 @@ class QuadraticLinear(Potential):
     def sample(self, q: float) -> PotentialSample:
         w2 = self.omega * self.omega
         # fields in order: v_real, v_imag, dv_real, dv_imag, d2v_real, d2v_imag
-        return PotentialSample(0.5 * w2 * q * q, self.gamma * q, w2 * q, self.gamma, w2, 0.0)
+        return tuple.__new__(
+            PotentialSample, (0.5 * w2 * q * q, self.gamma * q, w2 * q, self.gamma, w2, 0.0)
+        )
 
     def value(self, x):
         xs = np.asarray(x, dtype=float)

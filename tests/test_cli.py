@@ -239,9 +239,7 @@ def _numeric_leaves(node, prefix=()):
                 yield prefix + (key,)
 
 
-@st.composite
-def scenario_docs(draw):
-    doc = draw(ORDINARY_DOCS)
+def _set_edges(draw, doc):
     leaves = list(_numeric_leaves(doc))
     for _ in range(draw(st.integers(0, 3))):
         *parents, key = draw(st.sampled_from(leaves))
@@ -250,6 +248,19 @@ def scenario_docs(draw):
             node = node[parent]
         node[key] = draw(st.sampled_from(EDGES.get(key, NUMBER_EDGES)))
     return doc
+
+
+@st.composite
+def scenario_docs(draw):
+    return _set_edges(draw, draw(ORDINARY_DOCS))
+
+
+def _exit_code(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return main([command, cfg, "--out-dir", os.path.join(tmp, "out"), "--quiet"])
 
 
 ZERO_NORM = {
@@ -267,9 +278,37 @@ ZERO_NORM = {
 @example(doc=ZERO_NORM)
 @given(doc=scenario_docs())
 def test_run_exits_with_a_code_on_any_document(doc):
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "cfg.json")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        code = main(["run", cfg, "--out-dir", os.path.join(tmp, "out"), "--quiet"])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO)
+    assert _exit_code("run", doc) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO)
+
+
+# Filter documents for the same fuzz: at most 50 steps per beam, every
+# probe on a step, then up to three leaves set to an edge.
+@st.composite
+def filter_docs(draw):
+    dz = draw(st.sampled_from([5e-4, 1e-3, 2e-3]))
+    n_steps = draw(st.integers(1, 50))
+    probes = draw(st.lists(st.integers(1, n_steps), min_size=1, max_size=3, unique=True))
+    doc = {
+        "schema_version": 1,
+        "name": "filter-fuzz",
+        "widths": draw(
+            st.lists(
+                st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 3.0)).map(list),
+                min_size=2, max_size=4,
+            )
+        ),
+        "q0": draw(st.floats(-3.0, 3.0)),
+        "p0": draw(st.floats(-3.0, 3.0)),
+        "potential": draw(POTENTIAL_DOCS),
+        "z_max": n_steps * dz,
+        "dz": dz,
+        "probe_z": [k * dz for k in sorted(probes)],
+        "constants": {"hbar": draw(st.floats(0.1, 3.0)), "n_zero": 1.0},
+    }
+    return _set_edges(draw, doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=filter_docs())
+def test_filter_exits_with_a_code_on_any_document(doc):
+    assert _exit_code("filter", doc) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO)

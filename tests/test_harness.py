@@ -401,6 +401,11 @@ class TestFilterExperiment:
         with pytest.raises(ConfigError, match="probe_z"):
             FilterConfig(name="bad", widths=(0.5j, 2j), z_max=1.0, dz=3e-4, probe_z=(0.001,))
 
+    @pytest.mark.parametrize("probe", [1e-300, 5e-324])
+    def test_probe_on_step_zero_rejected(self, probe):
+        with pytest.raises(ConfigError, match="probe_z"):
+            FilterConfig(name="bad", widths=(0.5j, 2j), z_max=1.0, dz=1e-3, probe_z=(probe,))
+
     def test_needs_two_widths(self):
         with pytest.raises(ConfigError, match="two widths"):
             FilterConfig(name="one", widths=(1j,))

@@ -99,3 +99,72 @@ def test_rejected_write_leaves_target_alone(tmp_path, write, error, match):
         write(path)
     assert path.read_bytes() == b"old,bytes\n"
     assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable to the writer and count its forks."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 301])
+def test_heatmap_blocks_match_one_block(tmp_path, monkeypatch, rows):
+    x = np.array(VALUES, dtype=float)
+    zs = np.linspace(0.0, 3.0, rows)
+    matrix = np.random.default_rng(rows).random((rows, x.size)) * x
+    path = tmp_path / "h.csv"
+    use_cpus(monkeypatch, 1)
+    write_heatmap_csv(path, x, zs, matrix)
+    one_block = path.read_bytes()
+    for cpus in (2, 3, 8):
+        forks = use_cpus(monkeypatch, cpus)
+        path.write_bytes(b"")
+        write_heatmap_csv(path, x, zs, matrix)
+        assert path.read_bytes() == one_block
+        assert len(forks) == min(cpus, rows) - 1
+    assert os.listdir(tmp_path) == ["h.csv"]
+    assert_no_child_left()
+
+
+class PoisonedRows(np.ndarray):
+    """A matrix whose rows starting with -1 raise the error in ``poison`` from tolist."""
+
+    poison = RuntimeError("poisoned row")
+
+    def tolist(self):
+        if self.ndim == 1 and self[0] == -1.0:
+            raise self.poison
+        return super().tolist()
+
+
+@pytest.mark.parametrize(
+    "row, poison, match",
+    [
+        (3, RuntimeError("poisoned row"), "rows 2-3 failed: RuntimeError: poisoned row"),
+        (0, KeyboardInterrupt(), None),
+        (0, RuntimeError("poisoned row"), "poisoned row"),
+    ],
+    ids=["child_raises", "parent_interrupted", "parent_raises"],
+)
+def test_failed_block_leaves_target_alone(tmp_path, monkeypatch, row, poison, match):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old,bytes\n")
+    matrix = np.ones((4, 512))
+    matrix[row, 0] = -1.0
+    matrix = matrix.view(PoisonedRows)
+    monkeypatch.setattr(PoisonedRows, "poison", poison)
+    forks = use_cpus(monkeypatch, 2)
+    with pytest.raises(type(poison), match=match):
+        write_heatmap_csv(path, np.zeros(512), np.arange(4.0), matrix)
+    assert len(forks) == 1
+    assert path.read_bytes() == b"old,bytes\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert_no_child_left()
