@@ -24,8 +24,6 @@ from .closed_forms import (
     forcing_ratio,
     quadratic_trajectory,
     reduced_forcing_center_solution,
-    short_distance,
-    stationary_width_solution,
     width_drift_rate,
 )
 from .config import (
@@ -55,6 +53,7 @@ from .errors import (
 )
 from .grid import (
     GridObservables,
+    GridRun,
     GridSpec,
     GridState,
     observables,
@@ -92,10 +91,10 @@ __all__ = [
     "integrate", "reconstruct_wavefunction",
     # closed forms
     "b_evolution", "forcing_ratio", "OscillatorSolution", "center_solution",
-    "reduced_forcing_center_solution", "stationary_width_solution",
-    "adaptive_simpson", "short_distance", "width_drift_rate", "quadratic_trajectory",
+    "reduced_forcing_center_solution", "adaptive_simpson", "width_drift_rate",
+    "quadratic_trajectory",
     # grid
-    "GridSpec", "GridState", "GridObservables", "propagate", "observables",
+    "GridSpec", "GridState", "GridObservables", "GridRun", "propagate", "observables",
     "renormalized_intensity",
     # harness
     "ObservableSeries", "ComparisonReport", "ScenarioResult", "FilterReport",

@@ -17,7 +17,7 @@ short-distance expansion underlies the width-filtering application.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -30,10 +30,7 @@ __all__ = [
     "OscillatorSolution",
     "center_solution",
     "reduced_forcing_center_solution",
-    "stationary_width_solution",
     "adaptive_simpson",
-    "ShortDistanceResult",
-    "short_distance",
     "width_drift_rate",
     "quadratic_trajectory",
 ]
@@ -236,34 +233,6 @@ def reduced_forcing_center_solution(
     return _driven_solution(q0, p0, b0, gamma, omega, 1.0)
 
 
-def stationary_width_solution(
-    q0: float, p0: float, gamma: float, omega: float, z, hbar: float = 1.0
-):
-    """(q, p, N/N0) for the stationary width B0 = i omega.
-
-    With B = i omega the width forcing vanishes and the center performs a
-    plain harmonic oscillation with the momentum shifted by gamma / omega:
-
-        q(z) = q0 cos wz + ((p0 + gamma/omega) / omega) sin wz
-        p(z) = -omega q0 sin wz + (p0 + gamma/omega) cos wz - gamma/omega
-
-    The norm ratio is the closed-form quadrature
-    exp((gamma/hbar) [ (q0/omega) sin wz + ((p0 + gamma/omega)/omega^2) (1 - cos wz) ]),
-    which is 1 at z = 0 for every parameter choice.
-    """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    shift = gamma / omega
-    v = (p0 + shift) / omega
-    c = np.cos(omega * z)
-    s = np.sin(omega * z)
-    q = q0 * c + v * s
-    p = -omega * q0 * s + (p0 + shift) * c - shift
-    integral = (q0 / omega) * s + (v / omega) * (1.0 - c)
-    norm_ratio = np.exp((gamma / hbar) * integral)
-    return q, p, norm_ratio
-
-
 def adaptive_simpson(
     f: Callable[[float], float], a: float, b: float, abs_tol: float = 1e-10
 ) -> float:
@@ -300,38 +269,6 @@ def adaptive_simpson(
     return recurse(a, b, fa, fm, fb, whole, abs_tol, 48)
 
 
-class ShortDistanceResult(NamedTuple):
-    q: float
-    p: float
-    norm_ratio: float
-
-
-def short_distance(
-    q0: float,
-    p0: float,
-    b0: complex,
-    gamma: float,
-    omega: float,
-    z: float,
-    hbar: float = 1.0,
-) -> ShortDistanceResult:
-    """First-order evolution over a short distance.
-
-        q(z) = q0 + (p0 + gamma / Im B0) z
-        p(z) = p0 - (omega^2 q0 - gamma Re B0 / Im B0) z
-        N(z)/N0 = 1 + (gamma / hbar) q0 z
-
-    The position shift beyond p0 z equals 2 gamma (delta q)^2 z: linear
-    in the local gain slope and quadratic in the initial beam width,
-    which is what makes width filtering possible.
-    """
-    _check_width(b0)
-    q = q0 + (p0 + gamma / b0.imag) * z
-    p = p0 - (omega * omega * q0 - gamma * b0.real / b0.imag) * z
-    norm_ratio = 1.0 + (gamma / hbar) * q0 * z
-    return ShortDistanceResult(q, p, norm_ratio)
-
-
 def width_drift_rate(b0: complex, gamma: float) -> float:
     """Width-induced drift rate gamma / Im B0 = 2 gamma (delta q)^2.
 
@@ -344,11 +281,6 @@ def width_drift_rate(b0: complex, gamma: float) -> float:
 
 # pi - _PI_LO rounds to math.pi; together they hold pi to about 1e-32
 _PI_LO = 1.2246467991473532e-16
-# alpha' less its -hbar Im B / 2 term is a trig polynomial of degree
-# _HARMONICS in omega z; _NODES equispaced samples over one period give its
-# Fourier coefficients exactly, as long as _NODES > 2 _HARMONICS
-_HARMONICS = 4
-_NODES = 16
 
 
 def _two_product(a, b):
@@ -380,6 +312,12 @@ def _reduce(phi):
     return k, (hi - p) + ((lo - e) - k * (2.0 * _PI_LO))
 
 
+def _trig2(const, cos1, sin1, cos2, sin2):
+    """Coefficients of e^{ik theta}, k = -2..2, of a real trig polynomial of degree 2."""
+    return np.array([cos2 + 1j * sin2, cos1 + 1j * sin1, 2.0 * const,
+                     cos1 - 1j * sin1, cos2 - 1j * sin2]) / 2.0
+
+
 def _phase_change(sol: OscillatorSolution, hbar: float, z: np.ndarray) -> np.ndarray:
     """integral_0^z alpha' for an array z, in closed form (see quadratic_trajectory)."""
     omega, gamma, b0 = sol.omega, sol.gamma, sol.b0
@@ -389,22 +327,26 @@ def _phase_change(sol: OscillatorSolution, hbar: float, z: np.ndarray) -> np.nda
     arg_d = 2.0 * math.pi * turns + np.arctan2(
         b0.imag * sin_theta, b0.real * sin_theta + omega * np.cos(theta)
     )
-    # the rest at _NODES equispaced angles over one period; with
-    # p = q' - gamma / Im B, p q' - p^2/2 = (q'^2 - (gamma / Im B)^2) / 2
-    nodes = (2.0 * math.pi / _NODES) * np.arange(_NODES)
-    c, s = np.cos(nodes), np.sin(nodes)
-    gamma_over_im_b = gamma * ((b0.real * s + omega * c) ** 2 + (b0.imag * s) ** 2) / (
-        omega * omega * b0.imag
-    )
-    qd, q = sol.q_dot(nodes / omega), sol.q(nodes / omega)
-    f = 0.5 * (qd * qd - omega * omega * q * q - gamma_over_im_b * gamma_over_im_b)
+    # with p = q' - gamma / Im B, the rest is f = (q'^2 - omega^2 q^2 - (gamma / Im B)^2) / 2,
+    # whose factors are degree-2 trig polynomials in theta = omega z
+    s_coeff, c_coeff = _forcing_coeffs(b0, omega)
+    a, b, scale = sol.a_coeff, sol.b_coeff, sol.forcing_scale
+    q = _trig2(0.0, a, b, scale * c_coeff, scale * s_coeff)
+    q_dot = _trig2(0.0, b * omega, -a * omega, 2.0 * omega * scale * s_coeff,
+                   -2.0 * omega * scale * c_coeff)
+    # gamma / Im B = gamma |D|^2 / (omega^2 Im B0)
+    g = gamma / (omega * omega * b0.imag)
+    abs_b0 = abs(b0) ** 2
+    g_over_im_b = _trig2(g * (abs_b0 + omega * omega) / 2.0, 0.0, 0.0,
+                         g * (omega * omega - abs_b0) / 2.0, g * omega * b0.real)
+    f = 0.5 * (np.convolve(q_dot, q_dot) - omega * omega * np.convolve(q, q)
+               - np.convolve(g_over_im_b, g_over_im_b))
     # its mean times z, plus the integral of each harmonic
-    # a_k cos k wt + b_k sin k wt over [0, z]
+    # a_k cos k wt + b_k sin k wt over [0, z], with a_k - i b_k = 2 f_k
     ratio = gamma / omega
     rest = -0.5 * ratio * ratio * z
-    for k in range(1, _HARMONICS + 1):
-        a_k = (2.0 / _NODES) * np.dot(f, np.cos(k * nodes))
-        b_k = (2.0 / _NODES) * np.dot(f, np.sin(k * nodes))
+    for k, f_k in enumerate(f[5:], start=1):
+        a_k, b_k = 2.0 * f_k.real, -2.0 * f_k.imag
         rest += (a_k * np.sin(k * theta) + b_k * (1.0 - np.cos(k * theta))) / (k * omega)
     return -0.5 * hbar * arg_d + rest
 
@@ -424,10 +366,11 @@ def quadratic_trajectory(
 
     and integrates exactly. B = D'/D with D = B0 sin wz + omega cos wz, so
     the last term gives -(hbar/2) arg D. The rest is a trig polynomial of
-    degree 4 in wz, since 1/Im B = |D|^2 / (omega^2 Im B0). Its period mean
-    is exactly -gamma^2 / (2 omega^2), whatever q0, p0 and B0 (the free
-    oscillation's kinetic and potential parts cancel), and its harmonics
-    come from 16 equispaced samples over one period, exact below degree 8.
+    degree 4 in wz, since q, q' and 1/Im B = |D|^2 / (omega^2 Im B0) are
+    each of degree 2. Its period mean is exactly -gamma^2 / (2 omega^2),
+    whatever q0, p0 and B0 (the free oscillation's kinetic and potential
+    parts cancel), and its harmonics are products of the closed-form
+    coefficients, multiplied as polynomials in e^{i wz}.
 
     omega z = 2 pi m + theta, |theta| <= pi, is reduced once in double-double
     arithmetic: against the rounded product, theta would be off by about

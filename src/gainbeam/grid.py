@@ -13,6 +13,9 @@ during propagation -- it is one of the primary observables.
 The domain [-L, L) is periodic with no absorbing layers; boundary health
 is monitored through the fraction of |psi|^2 in the outer 5% of the
 domain, which triggers a warning above 1%.
+
+:func:`propagate` measures each sample in its loop and returns columns
+(:class:`GridRun`), keeping only the last field.
 """
 
 import math
@@ -29,6 +32,7 @@ __all__ = [
     "GridSpec",
     "GridState",
     "GridObservables",
+    "GridRun",
     "propagate",
     "schedule",
     "step_count",
@@ -100,8 +104,42 @@ class GridObservables:
     edge_mass: float
 
 
-def _edge_mask(spec: GridSpec) -> np.ndarray:
-    return np.abs(spec.positions()) >= (1.0 - EDGE_FRACTION) * spec.half_width
+@dataclass
+class GridRun:
+    """Samples of a run: a column per observable, an intensity row each, the last field."""
+
+    z: np.ndarray
+    norm: np.ndarray
+    mean_q: np.ndarray
+    mean_p: np.ndarray
+    delta_q: np.ndarray
+    edge_mass: np.ndarray
+    intensity: np.ndarray
+    final: GridState
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+
+def _geometry(spec: GridSpec):
+    """Positions, wavenumbers, spacing and edge mask: what _measure needs of a grid."""
+    x = spec.positions()
+    return x, spec.wavenumbers(), spec.spacing, np.abs(x) >= (1.0 - EDGE_FRACTION) * spec.half_width
+
+
+def _measure(psi, x, k, dx, edge_mask, hbar):
+    """(|psi|^2, its integral, the GridObservables fields or None if it is not positive)."""
+    density = np.abs(psi) ** 2
+    mass = float(density.sum() * dx)
+    if mass <= 0.0:
+        return density, mass, None
+    mean_q = float((x * density).sum() * dx / mass)
+    mean_x2 = float((x * x * density).sum() * dx / mass)
+    delta_q = math.sqrt(max(mean_x2 - mean_q * mean_q, 0.0))
+    dpsi = np.fft.ifft(1j * k * np.fft.fft(psi))
+    mean_p = float(np.real(np.conj(psi) * (-1j * hbar) * dpsi).sum() * dx / mass)
+    edge = float(density[edge_mask].sum() * dx / mass)
+    return density, mass, (math.sqrt(mass), mean_q, mean_p, delta_q, edge)
 
 
 def observables(state: GridState, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> GridObservables:
@@ -110,27 +148,10 @@ def observables(state: GridState, constants: PhysicalConstants = DEFAULT_CONSTAN
     The momentum expectation uses the spectral derivative
     <p> = Re( sum conj(psi) * (-i hbar d/dx psi) ) dx / norm^2.
     """
-    psi = state.amplitudes
-    x = state.spec.positions()
-    dx = state.spec.spacing
-    density = np.abs(psi) ** 2
-    mass = float(density.sum() * dx)
-    if mass <= 0.0:
+    _, _, moments = _measure(state.amplitudes, *_geometry(state.spec), constants.hbar)
+    if moments is None:
         raise ValueError("cannot compute observables of a zero-norm state")
-    mean_q = float((x * density).sum() * dx / mass)
-    mean_x2 = float((x * x * density).sum() * dx / mass)
-    delta_q = math.sqrt(max(mean_x2 - mean_q * mean_q, 0.0))
-    k = state.spec.wavenumbers()
-    dpsi = np.fft.ifft(1j * k * np.fft.fft(psi))
-    mean_p = float(np.real(np.conj(psi) * (-1j * constants.hbar) * dpsi).sum() * dx / mass)
-    edge = float(density[_edge_mask(state.spec)].sum() * dx / mass)
-    return GridObservables(
-        norm=math.sqrt(mass),
-        mean_q=mean_q,
-        mean_p=mean_p,
-        delta_q=delta_q,
-        edge_mass=edge,
-    )
+    return GridObservables(*moments)
 
 
 def renormalized_intensity(state: GridState) -> np.ndarray:
@@ -185,69 +206,74 @@ def propagate(
     dz: float = 1e-3,
     sample_stride: int = 1,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-):
-    """Propagate a grid state to z_max, returning [(z, GridState), ...].
+) -> GridRun:
+    """Propagate a grid state to z_max, returning the samples as a GridRun.
 
     Samples follow :func:`schedule`: the first is the initial state at
-    z = 0 and the last lands exactly on z_max.
+    z = 0 and the last lands exactly on z_max. Each is measured in the
+    loop, bit for bit as :func:`observables` and
+    :func:`renormalized_intensity` measure a field.
 
     Raises NumericalAbortError if the field becomes non-finite (gain
-    overflow) or |psi|^2 vanishes (loss underflow). Samples with more
-    than 1% of |psi|^2 in the outer 5% of the domain are counted, and one
-    BoundaryContaminationWarning per call reports their number, the first
-    z and the largest edge mass, also when the run aborts.
+    overflow) or |psi|^2 vanishes (loss underflow); its ``partial`` holds
+    the samples taken before. Samples with more than 1% of |psi|^2 in the
+    outer 5% of the domain are counted, and one BoundaryContaminationWarning
+    per call reports their number, the first z and the largest edge mass,
+    also when the run aborts.
     """
     n_steps, dz_eff, sample_steps = schedule(z_max, dz, sample_stride)
     spec = initial.spec
 
-    v = np.asarray(potential.value(spec.positions()), dtype=complex)
+    x, k, dx, edge_mask = _geometry(spec)
+    v = np.asarray(potential.value(x), dtype=complex)
     if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
         raise ValueError("potential is non-finite on the grid")
     half_potential = np.exp(-0.5j * dz_eff * v / constants.hbar)
-    k = spec.wavenumbers()
     kinetic = np.exp(-0.5j * constants.hbar * dz_eff * k * k / constants.n_zero)
 
-    edge_mask = _edge_mask(spec)
-    psi = initial.amplitudes.astype(complex, copy=True)
-    samples = [(0.0, GridState(spec, psi.copy(), 0.0))]
-    sampled = set(sample_steps)
-    contaminated = []  # (z, edge mass) of every flagged sample
-    aborted_at = None
+    # rows z, norm, mean_q, mean_p, delta_q, edge_mass; a column per sample
+    table = np.empty((6, len(sample_steps)))
+    intensity = np.empty((len(sample_steps), spec.n_points))
+    psi, final = initial.amplitudes, initial
+    taken = 0
 
-    fft, ifft = np.fft.fft, np.fft.ifft
-    # overflow is detected via the finiteness check at sample times
+    # overflow is detected via the finiteness check at sample times; a field
+    # near overflow measures as inf/nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            psi *= half_potential
-            psi = ifft(kinetic * fft(psi))
-            psi *= half_potential
-            if step not in sampled:
+        for step in range(n_steps + 1):
+            if step:
+                # out of place first, so the last sampled field stays intact
+                psi = np.fft.ifft(kinetic * np.fft.fft(psi * half_potential))
+                psi *= half_potential
+            if step != sample_steps[taken]:
                 continue
-            z_now = step * dz_eff
-            density = np.abs(psi) ** 2
-            mass = density.sum()
-            # non-finite: gain overflow; zero: loss has underflowed |psi|^2
-            if not (np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)) and mass > 0.0):
-                aborted_at = z_now
+            density, mass, moments = _measure(psi, x, k, dx, edge_mask, constants.hbar)
+            # the initial field is taken as given; later, a non-finite field
+            # is gain overflow and no moments means loss has underflowed |psi|^2
+            finite = not step or np.all(np.isfinite(psi.real) & np.isfinite(psi.imag))
+            if moments is None or not finite:
                 break
-            edge = density[edge_mask].sum() / mass
-            if edge > EDGE_MASS_LIMIT:
-                contaminated.append((z_now, edge))
-            samples.append((z_now, GridState(spec, psi.copy(), z_now)))
-    if contaminated:
+            table[:, taken] = (step * dz_eff, *moments)
+            np.divide(density, mass, out=intensity[taken])
+            final = GridState(spec, psi, step * dz_eff)
+            taken += 1
+    run = GridRun(*table[:, :taken], intensity[:taken], final)
+    flagged = np.flatnonzero(run.edge_mass > EDGE_MASS_LIMIT)
+    if len(flagged):
         warnings.warn(
-            f"{len(contaminated)} samples hold more than {EDGE_MASS_LIMIT:.0%} of |psi|^2 "
+            f"{len(flagged)} samples hold more than {EDGE_MASS_LIMIT:.0%} of |psi|^2 "
             f"in the outer {EDGE_FRACTION:.0%} of the domain, the first at "
-            f"z={contaminated[0][0]:.6g}, at most {max(e for _, e in contaminated):.3g}; "
+            f"z={run.z[flagged[0]]:.6g}, at most {run.edge_mass[flagged].max():.3g}; "
             "results may be contaminated by the periodic boundary",
             BoundaryContaminationWarning,
             stacklevel=2,
         )
-    if aborted_at is not None:
+    if taken < len(sample_steps):
+        z_abort = sample_steps[taken] * dz_eff
         raise NumericalAbortError(
-            f"field became non-finite or vanished by z={aborted_at:.6g} "
+            f"field became non-finite or vanished by z={z_abort:.6g} "
             "(gain overflow or loss underflow?)",
-            z=aborted_at,
-            partial=samples,
+            z=z_abort,
+            partial=run,
         )
-    return samples
+    return run

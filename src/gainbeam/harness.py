@@ -14,7 +14,7 @@ CSV files plus a manifest that can reconstruct the configuration exactly.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -25,7 +25,8 @@ from .closed_forms import quadratic_trajectory, width_drift_rate
 from .config import FilterConfig, ScenarioConfig, build_potential
 from .dynamics import GaussianParams, Trajectory, integrate, reconstruct_wavefunction
 from .errors import ConfigError, NumericalAbortError, WidthCollapseError
-from .grid import observables, propagate, renormalized_intensity, schedule
+# bench/tracing.py wraps observables and renormalized_intensity by name here
+from .grid import GridRun, observables, propagate, renormalized_intensity, schedule  # noqa: F401
 from .outputs import write_csv, write_heatmap_csv, write_manifest
 
 __all__ = [
@@ -65,17 +66,10 @@ class ObservableSeries:
         # itself, whose arrays are then read in place rather than copied
         if len(indices) == len(self.z):
             return self
-        return ObservableSeries(
-            label=self.label,
-            z=self.z[indices],
-            mean_q=self.mean_q[indices],
-            mean_p=self.mean_p[indices],
-            norm=self.norm[indices],
-            delta_q=self.delta_q[indices],
-            edge_mass=None if self.edge_mass is None else self.edge_mass[indices],
-            intensity=None if self.intensity is None else self.intensity[indices],
-            x=self.x,
-        )
+        return replace(self, **{
+            name: value[indices] for name, value in vars(self).items()
+            if name not in ("label", "x") and value is not None
+        })
 
 
 def _observe_trajectory(traj: Trajectory, label: str, config, with_intensity: bool):
@@ -104,30 +98,13 @@ def _observe_trajectory(traj: Trajectory, label: str, config, with_intensity: bo
     return series, TRAJECTORY_COLUMNS, np.column_stack([cols[c] for c in TRAJECTORY_COLUMNS])
 
 
-def _observe_grid(samples, label: str, config, with_intensity: bool):
-    # partial samples from an aborted run may hold near-overflow amplitudes;
-    # observables then degrade to inf/nan without spamming warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        obs = [observables(state, config.constants) for _, state in samples]
-        intensity = None
-        x = None
-        if with_intensity:
-            x = samples[0][1].spec.positions()
-            intensity = np.empty((len(samples), len(x)))
-            for row, (_, state) in zip(intensity, samples):
-                row[:] = renormalized_intensity(state)
+def _observe_grid(run: GridRun, label: str, config, with_intensity: bool):
+    columns = {name: getattr(run, name) for name in GRID_COLUMNS}
     series = ObservableSeries(
-        label=label,
-        z=np.array([z for z, _ in samples]),
-        mean_q=np.array([o.mean_q for o in obs]),
-        mean_p=np.array([o.mean_p for o in obs]),
-        norm=np.array([o.norm for o in obs]),
-        delta_q=np.array([o.delta_q for o in obs]),
-        edge_mass=np.array([o.edge_mass for o in obs]),
-        intensity=intensity,
-        x=x,
+        label, **columns, intensity=run.intensity if with_intensity else None,
+        x=run.final.spec.positions() if with_intensity else None,
     )
-    return series, GRID_COLUMNS, np.column_stack([getattr(series, c) for c in GRID_COLUMNS])
+    return series, GRID_COLUMNS, np.column_stack(list(columns.values()))
 
 
 @dataclass
@@ -253,8 +230,8 @@ def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
 
 
 class _Propagator(NamedTuple):
-    run: Callable  # (config, initial, potential) -> samples; an abort carries .partial
-    observe: Callable  # (samples, label, config, with_intensity) -> (series, header, rows)
+    run: Callable  # (config, initial, potential) -> Trajectory or GridRun; aborts carry .partial
+    observe: Callable  # (record, label, config, with_intensity) -> (series, header, rows)
     step: str  # config section whose dz sets the sample schedule
     csv: str
 
@@ -312,17 +289,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         if name not in config.propagators:
             continue
         try:
-            samples = prop.run(config, initial, potential)
+            record = prop.run(config, initial, potential)
         except (WidthCollapseError, NumericalAbortError) as exc:
             aborts.append(PropagatorAbort(name, str(exc), exc.z))
-            samples = exc.partial
-        series[name], header, rows = prop.observe(samples, name, config, with_intensity)
+            record = exc.partial
+        series[name], header, rows = prop.observe(record, name, config, with_intensity)
         tables[name] = (header, rows)
-        if isinstance(samples, Trajectory):
-            trajectories[name] = samples
-        # the grid's (z, GridState) list holds every field sample; nothing
-        # reads it once observed, so it is not kept through compare
-        del samples
+        if isinstance(record, Trajectory):
+            trajectories[name] = record
 
     reports: dict = {}
     aborted = {a.propagator for a in aborts}

@@ -35,7 +35,7 @@ from gainbeam.closed_forms import (
 )
 from gainbeam.config import FilterConfig
 from gainbeam.dynamics import GaussianParams, integrate, reconstruct_wavefunction
-from gainbeam.grid import GridSpec, observables, propagate
+from gainbeam.grid import GridSpec, propagate
 from gainbeam.harness import filter_experiment
 from gainbeam.potentials import PtTanhGaussian, QuadraticLinear, hermitian_variant
 
@@ -80,10 +80,9 @@ class TestCriterion1StationaryBeam:
         t0 = time.perf_counter()
         spec = GridSpec(20.0, 4096)
         psi0 = reconstruct_wavefunction(GaussianParams(0.0, -1.0, 1j), spec)
-        samples = propagate(psi0, QUAD, 20.0, dz=1e-3, sample_stride=100)
-        obs = [observables(s) for _, s in samples]
-        max_q = max(abs(o.mean_q) for o in obs)
-        max_n = max(abs(o.norm - 1.0) for o in obs)
+        run = propagate(psi0, QUAD, 20.0, dz=1e-3, sample_stride=100)
+        max_q = max(abs(mean_q) for mean_q in run.mean_q)
+        max_n = max(abs(norm - 1.0) for norm in run.norm)
         check(
             "1b grid/quadratic stationary",
             max_q < 1e-6 and max_n < 1e-6,
@@ -148,7 +147,7 @@ class TestCriterion2QuadraticOracle:
         for g0 in random_initial_conditions():
             spec = self.sized_grid(g0)
             psi0 = reconstruct_wavefunction(g0, spec)
-            state = propagate(psi0, QUAD, 10.0, dz=1e-3, sample_stride=10**9)[-1][1]
+            state = propagate(psi0, QUAD, 10.0, dz=1e-3, sample_stride=10**9).final
             traj = integrate(g0, QUAD, 10.0, dz=1e-3, sample_stride=10**9)
             alpha = traj.samples[-1][1].alpha
             (_, want), = quadratic_trajectory(g0, QUAD, [10.0])
@@ -259,8 +258,8 @@ class TestCriterion5HermitianLimit:
         )
         spec = GridSpec(grid_half_width, 4096)
         psi0 = reconstruct_wavefunction(g0, spec)
-        samples = propagate(psi0, potential, 20.0, dz=1e-3, sample_stride=2000)
-        grid_dev = max(abs(observables(s).norm - 1.0) for _, s in samples)
+        norms = propagate(psi0, potential, 20.0, dz=1e-3, sample_stride=2000).norm
+        grid_dev = max(abs(norm - 1.0) for norm in norms)
         check(f"5 grid norm conserved ({label})", grid_dev < 1e-8, f"dev={grid_dev:.1e}")
 
 
@@ -273,11 +272,10 @@ class TestCriterion6SemiclassicalTrend:
             g0 = GaussianParams(q0, 0.0, 1j)
             traj = integrate(g0, pot, 15.0, dz=1e-3, sample_stride=100)
             spec = GridSpec(8.0 * eta, 4096)
-            samples = propagate(
+            qs_grid = propagate(
                 reconstruct_wavefunction(g0, spec), pot, 15.0, dz=1e-3, sample_stride=100
-            )
+            ).mean_q
             qs_gauss = np.array([g.q for _, g in traj.samples])
-            qs_grid = np.array([observables(s).mean_q for _, s in samples])
             sups[eta] = float(np.abs(qs_gauss - qs_grid).max())
         elapsed = time.perf_counter() - t0
         detail = ", ".join(f"eta={k:g}: {v:.3e}" for k, v in sups.items())
@@ -344,10 +342,8 @@ class TestCriterion8WidthDependentSplit:
         # = -1.23e-2 at eta = 10 (see module docstring)
         spec = GridSpec(80.0, 4096)
         psi0 = reconstruct_wavefunction(GaussianParams(0.0, -1.0, b0), spec)
-        samples = propagate(psi0, TANH10, self.Z1, dz=1e-3, sample_stride=10)
-        o0 = observables(samples[0][1])
-        o1 = observables(samples[-1][1])
-        slope = (o1.mean_q - o0.mean_q) / self.Z1
+        mean_q = propagate(psi0, TANH10, self.Z1, dz=1e-3, sample_stride=10).mean_q
+        slope = (mean_q[-1] - mean_q[0]) / self.Z1
         check(
             f"8 grid slope sign for b0={b0}",
             self.classify(slope) == expected,

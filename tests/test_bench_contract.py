@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from gainbeam import cli, closed_forms, config, dynamics, harness, outputs
+from gainbeam import cli, closed_forms, config, dynamics, grid, harness, outputs
 from gainbeam.potentials import QuadraticLinear
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -73,3 +73,13 @@ def test_filter_report_reads():
     assert len(report.pairs) == 3
     assert report.z.shape == (11,)
     assert report.centers.shape == (3, 11)
+
+
+def test_grid_run_counts_its_samples():
+    # bench/tracing.py counts the grid's samples as len(propagate(...))
+    spec = grid.GridSpec(8.0, 256)
+    state = dynamics.reconstruct_wavefunction(dynamics.GaussianParams(q=0.0, p=0.0, b=1j), spec)
+    for z_max, stride in ((0.1, 10), (0.1, 30), (0.05, 10**9)):
+        run = grid.propagate(state, QuadraticLinear(1.0, 1.0), z_max, dz=1e-3, sample_stride=stride)
+        assert len(run) == len(grid.schedule(z_max, 1e-3, stride)[2])
+

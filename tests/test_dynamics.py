@@ -137,10 +137,9 @@ def test_hermitian_limit_conserves_norm(pot, q, p, re_b, im_b, norm):
     # with V_I = 0 every split-operator step is unitary, and the RK4 rate
     # of log N is exactly 0
     g0 = GaussianParams(q, p, complex(re_b, im_b), norm)
-    samples = propagate(
+    norms = propagate(
         reconstruct_wavefunction(g0, GridSpec(16.0, 256)), pot, 0.5, dz=1e-3, sample_stride=100
-    )
-    norms = np.array([observables(state).norm for _, state in samples])
+    ).norm
     assert np.all(np.abs(norms / norms[0] - 1.0) <= 1e-12)
     traj = integrate(g0, pot, 0.5, dz=1e-3, sample_stride=100)
     assert np.all(traj.columns()["norm"] == norm)
@@ -166,9 +165,12 @@ def test_hermitian_limit_conserves_energy(pot, q, p, re_b, im_b):
     assert np.all(np.abs(energy - energy[0]) <= 1e-12 * max(1.0, abs(energy[0])))
     spec = GridSpec(16.0, 256)
     k, v = spec.wavenumbers(), pot.value(spec.positions()).real
-    samples = propagate(reconstruct_wavefunction(g0, spec), pot, 0.5, dz=1e-3, sample_stride=100)
+    # the fields at z = 0, 0.1, ..., 0.5, each chained from the last at the same dz
+    states = [reconstruct_wavefunction(g0, spec)]
+    for _ in range(5):
+        states.append(propagate(states[-1], pot, 0.1, dz=1e-3, sample_stride=10**9).final)
     hamiltonian = []
-    for _, state in samples:
+    for state in states:
         density = np.abs(state.amplitudes) ** 2
         spectrum = np.abs(np.fft.fft(state.amplitudes)) ** 2
         hamiltonian.append(
@@ -385,10 +387,10 @@ class TestReconstruct:
         spec = GridSpec(10.0, 1024)
         g0 = GaussianParams(1.0, 0.3, 0.2 + 1j)
         g = integrate(g0, QUAD_SMALL_GAIN, 2.0, dz=1e-3, constants=constants).samples[-1][1]
-        _, state = propagate(
+        state = propagate(
             reconstruct_wavefunction(g0, spec, constants=constants),
             QUAD_SMALL_GAIN, 2.0, dz=1e-3, sample_stride=2000, constants=constants,
-        )[-1]
+        ).final
         ref = reconstruct_wavefunction(g, spec, constants=constants).amplitudes
         assert np.linalg.norm(state.amplitudes - ref) <= 1e-6 * np.linalg.norm(ref)
         _, exact = quadratic_trajectory(g0, QUAD_SMALL_GAIN, [2.0], hbar=0.5).samples[-1]

@@ -6,7 +6,14 @@ import pytest
 from gainbeam.closed_forms import quadratic_trajectory
 from gainbeam.dynamics import GaussianParams, integrate, reconstruct_wavefunction, widths
 from gainbeam.errors import BoundaryContaminationWarning, NumericalAbortError
-from gainbeam.grid import GridSpec, GridState, observables, propagate, renormalized_intensity
+from gainbeam.grid import (
+    GridSpec,
+    GridState,
+    observables,
+    propagate,
+    renormalized_intensity,
+    schedule,
+)
 from gainbeam.potentials import (
     FreeSpace,
     Potential,
@@ -100,7 +107,7 @@ class TestPropagate:
         # including the norm and the accumulated phase
         spec = GridSpec(12.0, 1024)
         psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j), spec)
-        (_, final) = propagate(psi0, FreeSpace(), 1.0, dz=1e-3, sample_stride=10**9)[-1]
+        final = propagate(psi0, FreeSpace(), 1.0, dz=1e-3, sample_stride=10**9).final
         b1 = 1j / (1 + 1j)
         alpha1 = -0.5 * math.atan(1.0)  # integral of -Im b(z)/2 for b0 = i
         ref = reconstruct_wavefunction(GaussianParams(0.0, 0.0, b1, alpha=alpha1), spec)
@@ -111,8 +118,7 @@ class TestPropagate:
     def test_sampling_layout(self):
         spec = GridSpec(12.0, 256)
         psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j), spec)
-        samples = propagate(psi0, FreeSpace(), 1.0, dz=1e-2, sample_stride=30)
-        zs = [z for z, _ in samples]
+        zs = propagate(psi0, FreeSpace(), 1.0, dz=1e-2, sample_stride=30).z
         assert zs[0] == 0.0
         assert zs[-1] == pytest.approx(1.0)
         assert np.all(np.diff(zs) > 0)
@@ -120,16 +126,16 @@ class TestPropagate:
     def test_hermitian_norm_conserved(self):
         spec = GridSpec(80.0, 2048)
         psi0 = reconstruct_wavefunction(GaussianParams(-4.0, 0.0, 1j), spec)
-        samples = propagate(psi0, hermitian_variant(TANH), 20.0, dz=1e-3, sample_stride=2000)
-        for _, s in samples:
-            assert abs(observables(s).norm - 1.0) < 1e-8
+        run = propagate(psi0, hermitian_variant(TANH), 20.0, dz=1e-3, sample_stride=2000)
+        for norm in run.norm:
+            assert abs(norm - 1.0) < 1e-8
 
     def test_strang_splitting_order(self):
         spec = GridSpec(80.0, 2048)
         psi0 = reconstruct_wavefunction(GaussianParams(-4.0, 0.0, 1j), spec)
 
         def terminal(dz):
-            return propagate(psi0, TANH, 2.0, dz=dz, sample_stride=10**9)[-1][1].amplitudes
+            return propagate(psi0, TANH, 2.0, dz=dz, sample_stride=10**9).final.amplitudes
 
         ref = terminal(5e-4)
         e_coarse = np.linalg.norm(terminal(4e-3) - ref)
@@ -142,7 +148,7 @@ class TestPropagate:
         for n in (2048, 4096):
             spec = GridSpec(80.0, n)
             psi0 = reconstruct_wavefunction(GaussianParams(-4.0, 0.0, 1j), spec)
-            state = propagate(psi0, TANH, 5.0, dz=1e-3, sample_stride=10**9)[-1][1]
+            state = propagate(psi0, TANH, 5.0, dz=1e-3, sample_stride=10**9).final
             results[n] = observables(state)
         a, b = results[2048], results[4096]
         assert abs(a.mean_q - b.mean_q) < 1e-8
@@ -160,7 +166,7 @@ class TestPropagate:
 
         spec = GridSpec(12.0, 512)
         psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j), spec)
-        state = propagate(psi0, FlatGain(), 2.0, dz=1e-2, sample_stride=10**9)[-1][1]
+        state = propagate(psi0, FlatGain(), 2.0, dz=1e-2, sample_stride=10**9).final
         assert observables(state).norm == pytest.approx(math.exp(1.0), rel=1e-9)
 
     def test_boundary_contamination_warning(self):
@@ -185,6 +191,46 @@ class TestPropagate:
         assert err.value.z is not None
         assert err.value.partial
 
+    def test_record_ends_on_the_final_field(self):
+        # the columns are measured in the loop exactly as observables and
+        # renormalized_intensity measure the field that is kept
+        spec = GridSpec(12.0, 512)
+        psi0 = reconstruct_wavefunction(GaussianParams(0.5, -0.3, 0.2 + 1j), spec)
+        run = propagate(psi0, TANH, 0.5, dz=1e-3, sample_stride=70)
+        assert len(run) == len(run.norm) == len(run.intensity) == 9
+        assert run.final.z == run.z[-1] == 0.5
+        last = observables(run.final)
+        for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass"):
+            assert getattr(run, name)[-1] == getattr(last, name)
+        assert np.array_equal(run.intensity[-1], renormalized_intensity(run.final))
+
+    def test_abort_keeps_the_samples_taken(self):
+        # |psi|^2 shrinks by exp(-100) per sample and underflows after
+        # z = 0.1; the partial record holds the samples before, the last of
+        # them with its field
+        class HugeLoss(Potential):
+            def sample(self, q):
+                return PotentialSample(0.0, -1000.0, 0.0, 0.0, 0.0, 0.0)
+
+            def value(self, x):
+                return np.full(np.shape(x), -1000.0j)
+
+        spec = GridSpec(8.0, 256)
+        psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j, norm=1e-100), spec)
+        with pytest.raises(NumericalAbortError) as err:
+            propagate(psi0, HugeLoss(), 2.0, dz=1e-2, sample_stride=5)
+        partial = err.value.partial
+        _, dz_eff, steps = schedule(2.0, 1e-2, 5)
+        assert partial.z.tolist() == [k * dz_eff for k in steps[:3]]
+        assert partial.z[-1] < err.value.z
+        for column in (partial.norm, partial.mean_q, partial.mean_p, partial.delta_q,
+                       partial.edge_mass, partial.intensity):
+            assert len(column) == len(partial)
+        assert partial.final.z == partial.z[-1]
+        last = observables(partial.final)
+        assert (partial.norm[-1], partial.mean_q[-1]) == (last.norm, last.mean_q)
+        assert np.array_equal(partial.intensity[-1], renormalized_intensity(partial.final))
+
     def test_underflow_aborts_with_z(self):
         # a uniform loss shrinks |psi|^2 by exp(-2000 dz) per step: a faint
         # field underflows to 0, which no observable can be taken of
@@ -200,7 +246,7 @@ class TestPropagate:
         with pytest.raises(NumericalAbortError, match="vanished") as err:
             propagate(psi0, HugeLoss(), 2.0, dz=1e-2, sample_stride=1)
         assert 0.0 < err.value.z < 2.0
-        assert all(observables(state).norm > 0.0 for _, state in err.value.partial)
+        assert all(norm > 0.0 for norm in err.value.partial.norm)
 
 
 class TestExactlyQuadraticOracle:
@@ -224,16 +270,17 @@ class TestExactlyQuadraticOracle:
     def test_full_state_match(self, g0):
         spec = GridSpec(8.0, 1024)
         zs = [1.0, 2.0, 5.0]
-        psi0 = reconstruct_wavefunction(g0, spec)
-        samples = propagate(psi0, QUAD, 5.0, dz=1e-3, sample_stride=1000)
+        state = reconstruct_wavefunction(g0, spec)
         traj = integrate(g0, QUAD, 5.0, dz=1e-3, sample_stride=1000)
         alpha_at = {round(z, 9): g.alpha for z, g in traj.samples}
         closed = {round(z, 9): g for z, g in quadratic_trajectory(g0, QUAD, zs)}
         checked = 0
-        for z, state in samples:
+        z = 0.0
+        for z_next in zs:
+            # the field at z, chained from the last one at the same dz
+            state = propagate(state, QUAD, z_next - z, dz=1e-3, sample_stride=10**9).final
+            z = z_next
             key = round(z, 9)
-            if key not in closed:
-                continue
             g = closed[key]
             ref = reconstruct_wavefunction(
                 GaussianParams(g.q, g.p, g.b, g.norm, alpha_at[key]), spec, z
