@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .config import load_filter, load_scenario
-from .errors import ConfigError, NumericalAbortError, WidthCollapseError
+from .errors import ConfigError, NumericalAbortError
 from .harness import filter_experiment, run_scenario
 from .scenarios import scenario_library
 
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (WidthCollapseError, NumericalAbortError) as exc:
+    except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

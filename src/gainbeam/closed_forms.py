@@ -7,12 +7,12 @@ close exactly and admit analytic solutions:
   solved by a Moebius transformation that preserves the upper half-plane;
 * the ratio Re B / Im B oscillates at frequency 2 omega and acts as a
   forcing term on the beam center, which is a driven harmonic oscillator;
-* the norm follows from a single quadrature of the center trajectory,
-  N(z) = N0 exp((gamma / hbar) integral_0^z q ds).
+* so the center is a trig polynomial of degree 2 in omega z; the norm
+  N(z) = N0 exp((gamma / hbar) integral_0^z q ds) and the phase are read
+  off its coefficients.
 
 These closed forms serve as ground truth for the numerical propagators
-(the Gaussian dynamics is exact for quadratic potentials) and its
-short-distance expansion underlies the width-filtering application.
+(the Gaussian dynamics is exact for quadratic potentials).
 """
 
 import math
@@ -58,34 +58,19 @@ def b_evolution(b0: complex | np.ndarray, omega: float, z):
 
     ``b0`` is a scalar or an array that broadcasts with ``z``; the result
     has the broadcast shape. Every entry of ``b0`` must be finite with
-    Im B0 > 0, otherwise ``ValueError`` is raised. The quotient is rounded
-    as Python's complex division rounds it, so every entry equals the
-    formula above in Python complex arithmetic bit for bit.
+    Im B0 > 0, otherwise ``ValueError`` is raised. With D = B0 sin wz +
+    omega cos wz, B = omega E conj(D) / |D|^2 for E = B0 cos wz - omega sin wz,
+    and Im(E conj D) = omega Im B0: Im B = omega^2 Im B0 / |D|^2 is positive.
     """
     _check_width(b0)
     _check_omega(omega)
     c = np.cos(omega * z)
     s = np.sin(omega * z)
     b_re, b_im = np.real(b0), np.imag(b0)
-    return _quotient(
-        omega * (b_re * c - omega * s), omega * (b_im * c), b_re * s + omega * c, b_im * s
-    )
-
-
-def _quotient(a_re, a_im, b_re, b_im):
-    """(a_re + i a_im) / (b_re + i b_im) elementwise, in CPython's steps.
-
-    numpy's complex division multiplies by a rounded reciprocal and can
-    differ from Python's in the last bit. This is Smith's method as
-    CPython writes it: divide through by the larger part of the divisor.
-    """
-    flip = np.abs(b_re) < np.abs(b_im)
-    u, v = np.where(flip, b_im, b_re), np.where(flip, b_re, b_im)
-    x, y = np.where(flip, a_im, a_re), np.where(flip, a_re, a_im)
-    ratio = v / u
-    denom = u + v * ratio
-    im = (y - x * ratio) / denom
-    return (x + y * ratio) / denom + 1j * np.where(flip, -im, im)
+    d_re, d_im = b_re * s + omega * c, b_im * s
+    abs_d2 = d_re * d_re + d_im * d_im
+    re_b = omega * ((b_re * c - omega * s) * d_re + (b_im * c) * d_im) / abs_d2
+    return re_b + 1j * (omega * omega * b_im / abs_d2)
 
 
 def forcing_ratio(b0: complex, omega: float, z):
@@ -116,6 +101,9 @@ class OscillatorSolution:
 
     ``forcing_scale`` multiplies the 2 omega width forcing; it vanishes
     (and a, b reduce to the plain shifted oscillation) for B0 = i omega.
+    q is a real trig polynomial of degree 2 in wz: ``_coeffs`` forms its
+    coefficients of e^{ikwz}, k = -2..2, and every method reads them, so
+    q', q'' and integral_0^z q are exact.
     """
 
     a_coeff: float
@@ -127,25 +115,17 @@ class OscillatorSolution:
     gamma: float
     omega: float
 
+    @property
+    def _coeffs(self) -> np.ndarray:
+        s_coeff, c_coeff = _forcing_coeffs(self.b0, self.omega)
+        scale = self.forcing_scale
+        return _trig2(0.0, self.a_coeff, self.b_coeff, scale * c_coeff, scale * s_coeff)
+
     def q(self, z):
-        w = self.omega
-        return (
-            self.a_coeff * np.cos(w * z)
-            + self.b_coeff * np.sin(w * z)
-            + self.forcing_scale * forcing_ratio(self.b0, w, z)
-        )
+        return _evaluate(self._coeffs, self.omega * z)
 
     def q_dot(self, z):
-        w = self.omega
-        s_coeff, c_coeff = _forcing_coeffs(self.b0, w)
-        ratio_dot = 2.0 * w * (
-            s_coeff * np.cos(2.0 * w * z) - c_coeff * np.sin(2.0 * w * z)
-        )
-        return (
-            -self.a_coeff * w * np.sin(w * z)
-            + self.b_coeff * w * np.cos(w * z)
-            + self.forcing_scale * ratio_dot
-        )
+        return _evaluate(_derivative(self._coeffs, self.omega), self.omega * z)
 
     def p(self, z):
         """Momentum p = q' - gamma / Im B(z)."""
@@ -154,31 +134,56 @@ class OscillatorSolution:
 
     def q_integral(self, z):
         """integral_0^z q(s) ds in closed form."""
-        w = self.omega
-        s_coeff, c_coeff = _forcing_coeffs(self.b0, w)
-        homogeneous = (self.a_coeff / w) * np.sin(w * z) + (self.b_coeff / w) * (
-            1.0 - np.cos(w * z)
-        )
-        forced = (
-            s_coeff * (1.0 - np.cos(2.0 * w * z)) + c_coeff * np.sin(2.0 * w * z)
-        ) / (2.0 * w)
-        return homogeneous + self.forcing_scale * forced
+        return _antiderivative(self._coeffs, self.omega, z, self.omega * z)
 
     def norm_ratio(self, z, hbar: float = 1.0):
         """N(z) / N0 = exp((gamma / hbar) integral_0^z q ds)."""
         return np.exp((self.gamma / hbar) * self.q_integral(z))
 
-    def reduced_ode_residual(self, z, h: float = 5e-4):
-        """Finite-difference residual of q'' + omega^2 q - gamma (Re B / Im B).
+    def reduced_ode_residual(self, z):
+        """Residual of q'' + omega^2 q - gamma (Re B / Im B), with q'' exact.
 
-        Zero for :func:`reduced_forcing_center_solution`; of size
-        2 gamma |Re B / Im B| for :func:`center_solution`, whose forcing
-        term is three times larger (see that function's docstring).
+        Round-off for :func:`reduced_forcing_center_solution`; 2 gamma |Re B / Im B|
+        for :func:`center_solution`, whose forcing is three times larger.
         """
-        qpp = (self.q(z + h) - 2.0 * self.q(z) + self.q(z - h)) / (h * h)
-        return qpp + self.omega**2 * self.q(z) - self.gamma * forcing_ratio(
-            self.b0, self.omega, z
-        )
+        w = self.omega
+        qpp = _evaluate(_derivative(_derivative(self._coeffs, w), w), w * z)
+        return qpp + w * w * self.q(z) - self.gamma * forcing_ratio(self.b0, w, z)
+
+
+def _trig2(const, cos1, sin1, cos2, sin2):
+    """Coefficients of e^{ik theta}, k = -2..2, of a real trig polynomial of degree 2."""
+    return np.array([cos2 + 1j * sin2, cos1 + 1j * sin1, 2.0 * const,
+                     cos1 - 1j * sin1, cos2 - 1j * sin2]) / 2.0
+
+
+def _evaluate(c, theta):
+    """sum_k c_k e^{ik theta} for the coefficients c_k, k = -m..m, of a real trig polynomial."""
+    m = len(c) // 2
+    total = c[m].real
+    for k, c_k in enumerate(c[m + 1:], start=1):
+        total = total + 2.0 * (c_k.real * np.cos(k * theta) - c_k.imag * np.sin(k * theta))
+    return total
+
+
+def _derivative(c, omega):
+    """Coefficients of d/dz of sum_k c_k e^{ik omega z}: c_k times ik omega."""
+    m = len(c) // 2
+    return c * (1j * omega * np.arange(-m, m + 1))
+
+
+def _antiderivative(c, omega, z, theta):
+    """integral_0^z sum_k c_k e^{ik omega s} ds, where theta is omega z or omega z mod 2 pi.
+
+    Each harmonic a_k cos k ws + b_k sin k ws, with a_k - i b_k = 2 c_k,
+    integrates to (a_k sin k theta + b_k (1 - cos k theta)) / (k omega).
+    """
+    m = len(c) // 2
+    total = c[m].real * z
+    for k, c_k in enumerate(c[m + 1:], start=1):
+        a_k, b_k = 2.0 * c_k.real, -2.0 * c_k.imag
+        total = total + (a_k * np.sin(k * theta) + b_k * (1.0 - np.cos(k * theta))) / (k * omega)
+    return total
 
 
 def _driven_solution(
@@ -312,12 +317,6 @@ def _reduce(phi):
     return k, (hi - p) + ((lo - e) - k * (2.0 * _PI_LO))
 
 
-def _trig2(const, cos1, sin1, cos2, sin2):
-    """Coefficients of e^{ik theta}, k = -2..2, of a real trig polynomial of degree 2."""
-    return np.array([cos2 + 1j * sin2, cos1 + 1j * sin1, 2.0 * const,
-                     cos1 - 1j * sin1, cos2 - 1j * sin2]) / 2.0
-
-
 def _phase_change(sol: OscillatorSolution, hbar: float, z: np.ndarray) -> np.ndarray:
     """integral_0^z alpha' for an array z, in closed form (see quadratic_trajectory)."""
     omega, gamma, b0 = sol.omega, sol.gamma, sol.b0
@@ -329,11 +328,8 @@ def _phase_change(sol: OscillatorSolution, hbar: float, z: np.ndarray) -> np.nda
     )
     # with p = q' - gamma / Im B, the rest is f = (q'^2 - omega^2 q^2 - (gamma / Im B)^2) / 2,
     # whose factors are degree-2 trig polynomials in theta = omega z
-    s_coeff, c_coeff = _forcing_coeffs(b0, omega)
-    a, b, scale = sol.a_coeff, sol.b_coeff, sol.forcing_scale
-    q = _trig2(0.0, a, b, scale * c_coeff, scale * s_coeff)
-    q_dot = _trig2(0.0, b * omega, -a * omega, 2.0 * omega * scale * s_coeff,
-                   -2.0 * omega * scale * c_coeff)
+    q = sol._coeffs
+    q_dot = _derivative(q, omega)
     # gamma / Im B = gamma |D|^2 / (omega^2 Im B0)
     g = gamma / (omega * omega * b0.imag)
     abs_b0 = abs(b0) ** 2
@@ -341,14 +337,10 @@ def _phase_change(sol: OscillatorSolution, hbar: float, z: np.ndarray) -> np.nda
                          g * (omega * omega - abs_b0) / 2.0, g * omega * b0.real)
     f = 0.5 * (np.convolve(q_dot, q_dot) - omega * omega * np.convolve(q, q)
                - np.convolve(g_over_im_b, g_over_im_b))
-    # its mean times z, plus the integral of each harmonic
-    # a_k cos k wt + b_k sin k wt over [0, z], with a_k - i b_k = 2 f_k
+    # its mean is exactly -gamma^2 / (2 omega^2); the product holds it with rounding
     ratio = gamma / omega
-    rest = -0.5 * ratio * ratio * z
-    for k, f_k in enumerate(f[5:], start=1):
-        a_k, b_k = 2.0 * f_k.real, -2.0 * f_k.imag
-        rest += (a_k * np.sin(k * theta) + b_k * (1.0 - np.cos(k * theta))) / (k * omega)
-    return -0.5 * hbar * arg_d + rest
+    f[4] = -0.5 * ratio * ratio
+    return -0.5 * hbar * arg_d + _antiderivative(f, omega, z, theta)
 
 
 def quadratic_trajectory(

@@ -122,12 +122,13 @@ def _file_name(v, name: str) -> str:
 def _width(v, name: str) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
         v = complex(_number(v[0], f"{name}[0]"), _number(v[1], f"{name}[1]"))
-    # B enters the beam equations squared, so |B|^2 must be finite too
+    # B enters the beam equations squared and as 1 / Im B, so both must be finite
     if not isinstance(v, complex) or not (
-        v.imag > 0 and math.isfinite(v.real * v.real + v.imag * v.imag)
+        v.imag > 0 and math.isfinite(v.real * v.real + v.imag * v.imag + 1.0 / v.imag)
     ):
         raise ConfigError(
-            f"{name} must be an [re, im] with Im {name} > 0 and |{name}|^2 finite, got {v!r}"
+            f"{name} must be an [re, im] with Im {name} > 0 and |{name}|^2 and "
+            f"1 / Im {name} finite, got {v!r}"
         )
     return complex(v)
 

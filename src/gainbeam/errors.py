@@ -1,11 +1,10 @@
 """Exceptions and warnings shared across the propagators and the harness."""
 
 
-class WidthCollapseError(RuntimeError):
-    """The complex width parameter left the upper half-plane (Im B <= 0).
+class NumericalAbortError(RuntimeError):
+    """A propagation could not continue: gain overflow, loss underflow or width collapse.
 
-    The Gaussian beam ansatz is only normalizable for Im B > 0, so
-    propagation cannot continue past this point.
+    ``z`` is where it stopped, and ``partial`` holds the samples taken before it.
     """
 
     def __init__(self, message, z=None, partial=None):
@@ -14,13 +13,12 @@ class WidthCollapseError(RuntimeError):
         self.partial = partial
 
 
-class NumericalAbortError(RuntimeError):
-    """A propagation produced non-finite values (typically gain overflow)."""
+class WidthCollapseError(NumericalAbortError):
+    """The complex width parameter left the upper half-plane (Im B <= 0).
 
-    def __init__(self, message, z=None, partial=None):
-        super().__init__(message)
-        self.z = z
-        self.partial = partial
+    The Gaussian beam ansatz is only normalizable for Im B > 0, so
+    propagation cannot continue past this point.
+    """
 
 
 class ConfigError(ValueError):

@@ -136,8 +136,7 @@ def _measure(psi, x, k, dx, edge_mask, hbar):
     mean_q = float((x * density).sum() * dx / mass)
     mean_x2 = float((x * x * density).sum() * dx / mass)
     delta_q = math.sqrt(max(mean_x2 - mean_q * mean_q, 0.0))
-    dpsi = np.fft.ifft(1j * k * np.fft.fft(psi))
-    mean_p = float(np.real(np.conj(psi) * (-1j * hbar) * dpsi).sum() * dx / mass)
+    mean_p = float(hbar * (k * np.abs(np.fft.fft(psi)) ** 2).sum() * dx / (len(psi) * mass))
     edge = float(density[edge_mask].sum() * dx / mass)
     return density, mass, (math.sqrt(mass), mean_q, mean_p, delta_q, edge)
 
@@ -145,8 +144,8 @@ def _measure(psi, x, k, dx, edge_mask, hbar):
 def observables(state: GridState, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> GridObservables:
     """Norm, center, momentum, width and edge mass of a grid state.
 
-    The momentum expectation uses the spectral derivative
-    <p> = Re( sum conj(psi) * (-i hbar d/dx psi) ) dx / norm^2.
+    The spectral momentum <p> = Re( sum conj(psi) (-i hbar d/dx psi) ) dx / norm^2
+    is, by Parseval, hbar sum k |FFT(psi)_k|^2 dx / (n norm^2): one FFT.
     """
     _, _, moments = _measure(state.amplitudes, *_geometry(state.spec), constants.hbar)
     if moments is None:

@@ -24,7 +24,7 @@ from . import __version__
 from .closed_forms import quadratic_trajectory, width_drift_rate
 from .config import FilterConfig, ScenarioConfig, build_potential
 from .dynamics import GaussianParams, Trajectory, integrate, reconstruct_wavefunction
-from .errors import ConfigError, NumericalAbortError, WidthCollapseError
+from .errors import ConfigError, NumericalAbortError
 # bench/tracing.py wraps observables and renormalized_intensity by name here
 from .grid import GridRun, observables, propagate, renormalized_intensity, schedule  # noqa: F401
 from .outputs import write_csv, write_heatmap_csv, write_manifest
@@ -290,7 +290,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
             continue
         try:
             record = prop.run(config, initial, potential)
-        except (WidthCollapseError, NumericalAbortError) as exc:
+        except NumericalAbortError as exc:
             aborts.append(PropagatorAbort(name, str(exc), exc.z))
             record = exc.partial
         series[name], header, rows = prop.observe(record, name, config, with_intensity)

@@ -80,6 +80,18 @@ class TestRun:
         assert code == EXIT_NUMERIC
         assert "ABORT" in capsys.readouterr().out
 
+    def test_width_collapse_exits_numeric(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            potential={"kind": "pt_tanh_gaussian", "gamma": 50.0, "omega": 1.0, "eta": 0.3},
+            initial={"q0": 1.0, "p0": 0.0, "b0": [0.0, 0.05]},
+            propagators=["gaussian"],
+        )
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_NUMERIC
+        assert "ABORT gaussian: Im B reached" in capsys.readouterr().out
+        assert '"propagator": "gaussian"' in (out / "manifest.txt").read_text()
+
     def test_io_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         blocker = tmp_path / "blocker"

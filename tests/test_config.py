@@ -95,6 +95,8 @@ ESCAPES = [
     ("scenario", ("grid", "half_width"), 5e-324),
     ("scenario", ("initial", "b0"), [1e300, 1.0]),
     ("filter", ("widths", 0), [1.0, 1e200]),
+    ("scenario", ("initial", "b0"), [0.0, 5e-324]),
+    ("filter", ("widths", 0), [0.0, 5e-324]),
 ]
 
 

@@ -223,6 +223,20 @@ class TestRunScenario:
         manifest = (tmp_path / "abort" / "manifest.txt").read_text()
         assert "aborts" in manifest
 
+    def test_width_collapse_recorded_as_abort(self):
+        # a wide beam on the flank of a narrow, strong gain profile: V_I'' > 0
+        # drives Im B through zero within a few steps
+        cfg = small_config(
+            potential={"kind": "pt_tanh_gaussian", "gamma": 50.0, "omega": 1.0, "eta": 0.3},
+            initial=InitialBeam(q0=1.0, p0=0.0, b0=0.05j),
+            propagators=("gaussian",),
+        )
+        result = run_scenario(cfg)
+        [abort] = result.aborts
+        assert abort.propagator == "gaussian" and "Im B" in abort.reason
+        assert 0.0 < abort.z_reached < 0.01
+        assert result.series["gaussian"].z[0] == 0.0
+
     @pytest.mark.parametrize("q0, norm0", [(0.0, 1e-300), (1e3, 1.0)])
     def test_beam_off_the_grid_is_config_error(self, q0, norm0):
         # |psi|^2 of the initial field underflows everywhere on the grid
