@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import GaussianParams, Trajectory
+from .errors import NumericalAbortError
 from .potentials import QuadraticLinear
 
 __all__ = [
@@ -37,9 +38,12 @@ __all__ = [
 
 
 def _check_width(b0):
-    b = np.asarray(b0)
-    if not (np.all(b.imag > 0) and np.all(np.isfinite(b))):
-        raise ValueError(f"b0 must be finite with Im b0 > 0, got {b0}")
+    # the config's rule: B enters squared and as 1 / Im B, so both must be finite
+    b = np.asarray(b0, dtype=complex)
+    with np.errstate(all="ignore"):
+        ok = (b.imag > 0) & np.isfinite(b.real * b.real + b.imag * b.imag + 1.0 / b.imag)
+    if not np.all(ok):
+        raise ValueError(f"b0 must have Im b0 > 0 with |b0|^2 and 1 / Im b0 finite, got {b0}")
 
 
 def _check_omega(omega: float):
@@ -57,8 +61,8 @@ def b_evolution(b0: complex | np.ndarray, omega: float, z):
     denominator cannot vanish for Im B0 > 0.
 
     ``b0`` is a scalar or an array that broadcasts with ``z``; the result
-    has the broadcast shape. Every entry of ``b0`` must be finite with
-    Im B0 > 0, otherwise ``ValueError`` is raised. With D = B0 sin wz +
+    has the broadcast shape. Every entry of ``b0`` must have Im B0 > 0 with
+    |B0|^2 and 1 / Im B0 finite, else ``ValueError`` is raised. With D = B0 sin wz +
     omega cos wz, B = omega E conj(D) / |D|^2 for E = B0 cos wz - omega sin wz,
     and Im(E conj D) = omega Im B0: Im B = omega^2 Im B0 / |D|^2 is positive.
     """
@@ -277,8 +281,8 @@ def adaptive_simpson(
 def width_drift_rate(b0: complex, gamma: float) -> float:
     """Width-induced drift rate gamma / Im B0 = 2 gamma (delta q)^2.
 
-    ``b0`` is a scalar or an array; every entry must be finite with
-    Im B0 > 0, otherwise ``ValueError`` is raised.
+    ``b0`` is a scalar or an array; every entry must have Im B0 > 0 with
+    |B0|^2 and 1 / Im B0 finite, otherwise ``ValueError`` is raised.
     """
     _check_width(b0)
     return gamma / b0.imag
@@ -372,6 +376,10 @@ def quadratic_trajectory(
         arg D = 2 pi m + atan2(Im B0 sin theta, Re B0 sin theta + omega cos theta),
 
     the same from both sides of theta = +-pi, where m steps.
+
+    Raises NumericalAbortError at the first sample where q, p, B or alpha
+    is non-finite or N is NaN; it carries that z and the samples before
+    it. A norm that overflows is inf, as in RK4.
     """
     omega, gamma = potential.omega, potential.gamma
     z = np.array(z_values, dtype=float)
@@ -380,13 +388,21 @@ def quadratic_trajectory(
     if any(hi < lo for lo, hi in zip([0.0, *zs], zs)):
         raise ValueError("z_values must be non-decreasing")
     sol = center_solution(initial.q, initial.p, initial.b, gamma, omega)
-    b = b_evolution(initial.b, omega, z)
-    return Trajectory(
-        z,
-        sol.q(z),
-        sol.p(z),
-        b.real,
-        b.imag,
-        initial.norm * sol.norm_ratio(z, hbar=hbar),
-        initial.alpha + _phase_change(sol, hbar, z),
-    )
+    # a width near the edge of the accepted range can overflow the closed forms;
+    # each sample is checked below instead, as RK4 checks its state
+    with np.errstate(all="ignore"):
+        b = b_evolution(initial.b, omega, z)
+        q, p = sol.q(z), sol.p(z)
+        norm = initial.norm * sol.norm_ratio(z, hbar=hbar)
+        alpha = initial.alpha + _phase_change(sol, hbar, z)
+    columns = (z, q, p, b.real, b.imag, norm, alpha)
+    # a norm that overflows stays inf, as RK4 reports it; NaN is an abort
+    ok = np.isfinite(q) & np.isfinite(p) & np.isfinite(b.real) & np.isfinite(b.imag)
+    ok &= np.isfinite(alpha) & ~np.isnan(norm)
+    if not ok.all():
+        k = int(ok.argmin())
+        raise NumericalAbortError(
+            f"closed forms became non-finite at z={z[k]:.6g}", z=float(z[k]),
+            partial=Trajectory(*(column[:k] for column in columns)),
+        )
+    return Trajectory(*columns)

@@ -14,7 +14,7 @@ CSV files plus a manifest that can reconstruct the configuration exactly.
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -54,10 +54,7 @@ class ObservableSeries:
     label: str
     z: np.ndarray
     mean_q: np.ndarray
-    mean_p: np.ndarray
     norm: np.ndarray
-    delta_q: np.ndarray
-    edge_mass: np.ndarray | None = None
     intensity: np.ndarray | None = None
     x: np.ndarray | None = None
 
@@ -85,26 +82,17 @@ def _observe_trajectory(traj: Trajectory, label: str, config, with_intensity: bo
         intensity = -im_b * u * u / hbar
         np.exp(intensity, out=intensity)
         intensity *= np.sqrt(im_b / (math.pi * hbar))
-    series = ObservableSeries(
-        label=label,
-        z=cols["z"],
-        mean_q=cols["q"],
-        mean_p=cols["p"],
-        norm=cols["norm"],
-        delta_q=cols["delta_q"],
-        intensity=intensity,
-        x=x,
-    )
+    series = ObservableSeries(label, cols["z"], cols["q"], cols["norm"], intensity, x)
     return series, TRAJECTORY_COLUMNS, np.column_stack([cols[c] for c in TRAJECTORY_COLUMNS])
 
 
 def _observe_grid(run: GridRun, label: str, config, with_intensity: bool):
-    columns = {name: getattr(run, name) for name in GRID_COLUMNS}
     series = ObservableSeries(
-        label, **columns, intensity=run.intensity if with_intensity else None,
+        label, run.z, run.mean_q, run.norm,
+        intensity=run.intensity if with_intensity else None,
         x=run.final.spec.positions() if with_intensity else None,
     )
-    return series, GRID_COLUMNS, np.column_stack(list(columns.values()))
+    return series, GRID_COLUMNS, np.column_stack([getattr(run, name) for name in GRID_COLUMNS])
 
 
 @dataclass
@@ -302,19 +290,35 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
     aborted = {a.propagator for a in aborts}
     compared = [p for p in config.propagators if p not in aborted]
     for name_a, name_b in combinations(compared, 2):
+        # every schedule samples step 0 and step n, so z = 0 and z_max are always shared
         ia, ib = _shared_samples(config, name_a, name_b)
-        if len(ia) < 2:
-            raise ConfigError(
-                f"propagators {name_a!r} and {name_b!r} share fewer than two z samples; "
-                "align their dz and sample_stride"
-            )
         reports[(name_a, name_b)] = compare(
             series[name_a].restricted(ia), series[name_b].restricted(ib)
         )
 
     files: list = []
     if out_dir is not None:
-        files = _write_outputs(config, series, tables, reports, aborts, out_dir)
+        outputs = [(_PROPAGATORS[name].csv, write_csv, table) for name, table in tables.items()]
+        if config.heatmap:
+            outputs += [
+                (f"{name}_heatmap.csv", write_heatmap_csv, (s.x, s.z, s.intensity))
+                for name, s in series.items() if s.intensity is not None
+            ]
+        outputs += [
+            (f"comparison_{name_a}_vs_{name_b}.csv", write_csv,
+             (("z", "q_error", "norm_rel_error", "intensity_l2"), rep.samples))
+            for (name_a, name_b), rep in reports.items()
+        ]
+        derived = {}
+        for name in tables:
+            n_steps, dz_eff, _ = _schedule(config, name)
+            derived[_PROPAGATORS[name].step] = {"n_steps": n_steps, "dz_eff": dz_eff}
+        if "grid" in derived:
+            derived["grid"]["spacing"] = config.grid_spec().spacing
+        report_data = {"aborts": [asdict(a) for a in aborts]}
+        for (name_a, name_b), rep in reports.items():
+            report_data[f"{name_a}_vs_{name_b}"] = rep.to_dict()
+        files = _write_run(out_dir, config, outputs, derived, report_data)
     return ScenarioResult(
         config=config,
         series=series,
@@ -326,43 +330,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
     )
 
 
-def _write_outputs(config, series, tables, reports, aborts, out_dir):
+def _write_run(out_dir, config, outputs, derived=None, report=None):
+    """Write each (file name, writer, args) of outputs in order, then manifest.txt.
+
+    The writers take the path first; returns the paths written, manifest last.
+    """
     os.makedirs(out_dir, exist_ok=True)
     files = []
-
-    def emit(name):
-        path = os.path.join(out_dir, name)
-        files.append(path)
-        return path
-
-    for name, (header, rows) in tables.items():
-        write_csv(emit(_PROPAGATORS[name].csv), header, rows)
-    if config.heatmap:
-        for name, s in series.items():
-            if s.intensity is not None:
-                write_heatmap_csv(emit(f"{name}_heatmap.csv"), s.x, s.z, s.intensity)
-    for (name_a, name_b), report in reports.items():
-        write_csv(
-            emit(f"comparison_{name_a}_vs_{name_b}.csv"),
-            ("z", "q_error", "norm_rel_error", "intensity_l2"),
-            report.samples,
-        )
-
-    derived = {}
-    for name in tables:
-        n_steps, dz_eff, _ = _schedule(config, name)
-        derived[_PROPAGATORS[name].step] = {"n_steps": n_steps, "dz_eff": dz_eff}
-    if "grid" in derived:
-        derived["grid"]["spacing"] = config.grid_spec().spacing
-    report_data = {
-        "aborts": [
-            {"propagator": a.propagator, "reason": a.reason, "z_reached": a.z_reached}
-            for a in aborts
-        ]
-    }
-    for (name_a, name_b), rep in reports.items():
-        report_data[f"{name_a}_vs_{name_b}"] = rep.to_dict()
-    write_manifest(emit("manifest.txt"), config, __version__, derived, report_data)
+    for name, writer, args in outputs:
+        files.append(os.path.join(out_dir, name))
+        writer(files[-1], *args)
+    files.append(os.path.join(out_dir, "manifest.txt"))
+    write_manifest(files[-1], config, __version__, derived, report)
     return files
 
 
@@ -443,42 +422,31 @@ def filter_experiment(config: FilterConfig, out_dir: str | None = None) -> Filte
         config=config, z=zs, centers=centers, widths=beam_widths, pairs=pairs
     )
     if out_dir is not None:
-        _write_filter_outputs(report, out_dir)
-    return report
-
-
-def _write_filter_outputs(report: FilterReport, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
-    config = report.config
-    rows = []
-    for pair in report.pairs:
-        for probe, rate in sorted(pair.measured_rates.items()):
-            rows.append(
-                (
-                    pair.index_a,
-                    pair.index_b,
-                    pair.b0_a.imag,
-                    pair.b0_b.imag,
-                    probe,
-                    pair.predicted_rate,
-                    rate,
-                    math.nan if pair.resolvability_z is None else pair.resolvability_z,
-                )
+        rows = [
+            (
+                pair.index_a,
+                pair.index_b,
+                pair.b0_a.imag,
+                pair.b0_b.imag,
+                probe,
+                pair.predicted_rate,
+                rate,
+                math.nan if pair.resolvability_z is None else pair.resolvability_z,
             )
-    write_csv(
-        os.path.join(out_dir, "filter_rates.csv"),
-        (
+            for pair in pairs
+            for probe, rate in sorted(pair.measured_rates.items())
+        ]
+        separations = np.column_stack(
+            [zs] + [np.abs(centers[p.index_a] - centers[p.index_b]) for p in pairs]
+        )
+        rate_header = (
             "beam_a", "beam_b", "im_b0_a", "im_b0_b", "probe_z",
             "predicted_rate", "measured_rate", "resolvability_z",
-        ),
-        rows,
-    )
-    header = ["z"] + [
-        f"separation_{p.index_a}_{p.index_b}" for p in report.pairs
-    ]
-    table = np.column_stack(
-        [report.z]
-        + [np.abs(report.centers[p.index_a] - report.centers[p.index_b]) for p in report.pairs]
-    )
-    write_csv(os.path.join(out_dir, "filter_separations.csv"), header, table)
-    write_manifest(os.path.join(out_dir, "manifest.txt"), config, __version__)
+        )
+        separation_header = ["z"] + [f"separation_{p.index_a}_{p.index_b}" for p in pairs]
+        # no derived or report section: a filter manifest holds the config only
+        _write_run(out_dir, config, [
+            ("filter_rates.csv", write_csv, (rate_header, rows)),
+            ("filter_separations.csv", write_csv, (separation_header, separations)),
+        ])
+    return report

@@ -80,6 +80,18 @@ class TestRun:
         assert code == EXIT_NUMERIC
         assert "ABORT" in capsys.readouterr().out
 
+    def test_oracle_abort_exits_numeric(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            potential={"kind": "quadratic_linear", "omega": 0.25, "gamma": 0.5},
+            initial={"q0": 0.0, "p0": 0.0, "b0": [0.0, 1e-300]},
+            propagators=["oracle"],
+        )
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_NUMERIC
+        assert "ABORT oracle: closed forms became non-finite" in capsys.readouterr().out
+        assert '"propagator": "oracle"' in (out / "manifest.txt").read_text()
+
     def test_width_collapse_exits_numeric(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",

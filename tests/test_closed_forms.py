@@ -141,6 +141,13 @@ class TestBEvolution:
             with pytest.raises(ValueError):
                 b_evolution(b0, 1.0, 0.5)
 
+    def test_rejects_width_whose_reciprocal_overflows(self):
+        # 1 / Im b0 overflows at 5e-324, and 2 omega Im b0 rounds to 0
+        with pytest.raises(ValueError, match="1 / Im b0"):
+            center_solution(0, 0, 5e-324j, 0, 0.25)
+        with pytest.raises(ValueError, match="1 / Im b0"):
+            b_evolution(np.array([1j, 0.5 + 5e-324j, 2j]), 1.0, 0.5)
+
 
 class TestForcingRatio:
     def test_stationary_is_zero(self):

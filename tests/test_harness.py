@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainbeam.config import (
     FilterConfig,
@@ -13,7 +15,14 @@ from gainbeam.config import (
 )
 from gainbeam.dynamics import GaussianParams, integrate
 from gainbeam.errors import BoundaryContaminationWarning, ConfigError, NarrowGridWarning
-from gainbeam.harness import ObservableSeries, compare, filter_experiment, run_scenario
+from gainbeam.grid import schedule
+from gainbeam.harness import (
+    ObservableSeries,
+    _shared_samples,
+    compare,
+    filter_experiment,
+    run_scenario,
+)
 from gainbeam.outputs import read_manifest_config
 from gainbeam.potentials import PhysicalConstants
 from gainbeam.scenarios import scenario_library
@@ -107,9 +116,7 @@ class TestCompare:
             label=label,
             z=z,
             mean_q=np.sin(z) + q_offset,
-            mean_p=np.cos(z),
             norm=np.exp(0.1 * z) * norm_factor,
-            delta_q=np.ones_like(z),
         )
 
     def test_self_comparison_is_zero(self):
@@ -236,6 +243,55 @@ class TestRunScenario:
         assert abort.propagator == "gaussian" and "Im B" in abort.reason
         assert 0.0 < abort.z_reached < 0.01
         assert result.series["gaussian"].z[0] == 0.0
+
+    def test_oracle_going_non_finite_is_an_abort(self):
+        # Im b0 = 1e-300 passes the width rule, but the closed forms' width
+        # forcing (|b0|^2 - omega^2) / (2 omega Im b0) then overflows their products
+        cfg = small_config(
+            potential={"kind": "quadratic_linear", "omega": 0.25, "gamma": 0.5},
+            initial=InitialBeam(q0=0.0, p0=0.0, b0=1e-300j),
+            propagators=("oracle",),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_scenario(cfg)
+        [abort] = result.aborts
+        assert abort.propagator == "oracle" and "non-finite" in abort.reason
+        assert abort.z_reached == 0.0
+        assert len(result.series["oracle"].z) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gaussian_dz=st.floats(1e-3, 0.1),
+        grid_dz=st.floats(1e-3, 0.1),
+        z_max=st.floats(0.01, 1.0),
+        stride=st.integers(1, 50),
+    )
+    def test_any_two_schedules_share_both_ends(self, gaussian_dz, grid_dz, z_max, stride):
+        # why run_scenario needs no check that two propagators share samples
+        cfg = small_config(
+            propagators=("gaussian", "grid"),
+            z_max=z_max,
+            gaussian=GaussianSettings(dz=gaussian_dz),
+            grid=GridSettings(half_width=8.0, n_points=256, dz=grid_dz),
+            sample_stride=stride,
+        )
+        ia, ib = _shared_samples(cfg, "gaussian", "grid")
+        assert (ia[0], ib[0]) == (0, 0)
+        assert ia[-1] == len(schedule(z_max, gaussian_dz, stride)[2]) - 1
+        assert ib[-1] == len(schedule(z_max, grid_dz, stride)[2]) - 1
+
+    def test_unequal_steps_compare_at_both_ends(self):
+        # 500 and 714 steps: no sample between the ends sits at the same z
+        cfg = small_config(
+            propagators=("gaussian", "grid"),
+            z_max=0.5,
+            gaussian=GaussianSettings(dz=1e-3),
+            grid=GridSettings(half_width=8.0, n_points=512, dz=7e-4),
+            sample_stride=7,
+        )
+        rep = run_scenario(cfg).reports[("gaussian", "grid")]
+        assert rep.samples[:, 0].tolist() == [0.0, 0.5]
 
     @pytest.mark.parametrize("q0, norm0", [(0.0, 1e-300), (1e3, 1.0)])
     def test_beam_off_the_grid_is_config_error(self, q0, norm0):
