@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import GaussianParams, Trajectory
+from .dynamics import GaussianParams, Trajectory, valid_width
 from .errors import NumericalAbortError
 from .potentials import QuadraticLinear
 
@@ -38,11 +38,7 @@ __all__ = [
 
 
 def _check_width(b0):
-    # the config's rule: B enters squared and as 1 / Im B, so both must be finite
-    b = np.asarray(b0, dtype=complex)
-    with np.errstate(all="ignore"):
-        ok = (b.imag > 0) & np.isfinite(b.real * b.real + b.imag * b.imag + 1.0 / b.imag)
-    if not np.all(ok):
+    if not np.all(valid_width(b0)):
         raise ValueError(f"b0 must have Im b0 > 0 with |b0|^2 and 1 / Im b0 finite, got {b0}")
 
 
@@ -94,7 +90,10 @@ def forcing_ratio(b0: complex, omega: float, z):
 
 def _forcing_coeffs(b0: complex, omega: float):
     b0 = complex(b0)
-    s_coeff = (abs(b0) ** 2 - omega * omega) / (2.0 * omega * b0.imag)
+    # numpy divisors here and in the oracle: 2 omega Im b0, 3 omega^2 and omega^2 Im b0
+    # can underflow to 0 for an accepted width and omega, which gives inf, not
+    # ZeroDivisionError, and the oracle aborts on its non-finite samples
+    s_coeff = (abs(b0) ** 2 - omega * omega) / np.float64(2.0 * omega * b0.imag)
     c_coeff = b0.real / b0.imag
     return s_coeff, c_coeff
 
@@ -200,7 +199,7 @@ def _driven_solution(
     _check_omega(omega)
     b0 = complex(b0)
     s_coeff, c_coeff = _forcing_coeffs(b0, omega)
-    scale = -forcing_factor * gamma / (3.0 * omega * omega)
+    scale = -forcing_factor * gamma / np.float64(3.0 * omega * omega)
     a = q0 - scale * c_coeff
     qdot0 = p0 + gamma / b0.imag
     b = (qdot0 - scale * 2.0 * omega * s_coeff) / omega
@@ -335,7 +334,7 @@ def _phase_change(sol: OscillatorSolution, hbar: float, z: np.ndarray) -> np.nda
     q = sol._coeffs
     q_dot = _derivative(q, omega)
     # gamma / Im B = gamma |D|^2 / (omega^2 Im B0)
-    g = gamma / (omega * omega * b0.imag)
+    g = gamma / np.float64(omega * omega * b0.imag)
     abs_b0 = abs(b0) ** 2
     g_over_im_b = _trig2(g * (abs_b0 + omega * omega) / 2.0, 0.0, 0.0,
                          g * (omega * omega - abs_b0) / 2.0, g * omega * b0.real)
@@ -387,10 +386,10 @@ def quadratic_trajectory(
     zs = z.tolist()
     if any(hi < lo for lo, hi in zip([0.0, *zs], zs)):
         raise ValueError("z_values must be non-decreasing")
-    sol = center_solution(initial.q, initial.p, initial.b, gamma, omega)
-    # a width near the edge of the accepted range can overflow the closed forms;
-    # each sample is checked below instead, as RK4 checks its state
+    # a width or omega near the edge of the accepted range can overflow the closed
+    # forms; each sample is checked below instead, as RK4 checks its state
     with np.errstate(all="ignore"):
+        sol = center_solution(initial.q, initial.p, initial.b, gamma, omega)
         b = b_evolution(initial.b, omega, z)
         q, p = sol.q(z), sol.p(z)
         norm = initial.norm * sol.norm_ratio(z, hbar=hbar)

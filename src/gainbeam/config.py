@@ -15,6 +15,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
+from .dynamics import valid_width
 from .errors import ConfigError
 from .grid import GridSpec, step_count
 from .potentials import (
@@ -122,10 +123,7 @@ def _file_name(v, name: str) -> str:
 def _width(v, name: str) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
         v = complex(_number(v[0], f"{name}[0]"), _number(v[1], f"{name}[1]"))
-    # B enters the beam equations squared and as 1 / Im B, so both must be finite
-    if not isinstance(v, complex) or not (
-        v.imag > 0 and math.isfinite(v.real * v.real + v.imag * v.imag + 1.0 / v.imag)
-    ):
+    if not isinstance(v, complex) or not valid_width(v):
         raise ConfigError(
             f"{name} must be an [re, im] with Im {name} > 0 and |{name}|^2 and "
             f"1 / Im {name} finite, got {v!r}"

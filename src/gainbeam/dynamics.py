@@ -67,6 +67,16 @@ class GaussianParams:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
+def valid_width(b):
+    """Im b > 0 with |b|^2 and 1 / Im b finite, entry by entry for an array.
+
+    B enters the beam equations squared and as 1 / Im B, so both must be finite.
+    """
+    b = np.asarray(b, dtype=complex)
+    with np.errstate(all="ignore"):
+        return (b.imag > 0) & np.isfinite(b.real * b.real + b.imag * b.imag + 1.0 / b.imag)
+
+
 class GaussianDerivatives(NamedTuple):
     dq: float
     dp: float

@@ -4,15 +4,14 @@ All numeric output uses 17 significant digits so doubles round-trip
 losslessly; newlines are Unix; CSV rows are formatted and written one at a
 time, so memory does not grow with the row count; files are written
 atomically (temp file in the target directory, then rename) so concurrent
-scenario runs never see a partial file. Heatmap rows are formatted on every
-usable CPU, in contiguous blocks by forked children, with the same bytes.
+scenario runs never see a partial file. Heatmap rows are formatted in
+blocks of a few rows by a pool of forked workers, one per usable CPU, and
+written in order, so the bytes are those of a one-process write.
 """
 
 import json
 import os
-import tempfile
 import threading
-from contextlib import ExitStack
 from itertools import chain
 
 import numpy as np
@@ -30,12 +29,6 @@ __all__ = [
 MANIFEST_FORMAT = "gainbeam-manifest/1"
 
 
-def _target_dir(path) -> str:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    return directory
-
-
 def atomic_write_text(path, text):
     """Write ``text``, one string or an iterable of lines, to ``path`` atomically.
 
@@ -45,7 +38,8 @@ def atomic_write_text(path, text):
     """
     if isinstance(text, str):
         text = (text,)
-    directory = _target_dir(path)
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     # opened like any new file, mode 0o666 less the umask (tempfile.mkstemp
     # would leave 0o600); O_EXCL never reuses an existing name
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
@@ -85,104 +79,63 @@ def write_csv(path, header, rows):
     atomic_write_text(path, chain([",".join(header) + "\n"], lines))
 
 
+# rows per task of the heatmap pool: a few, so few formatted blocks wait in this process
+_BLOCK_ROWS = 4
+_worker_rows = None  # (rows, width) in a heatmap pool worker, inherited through fork
+
+
 def write_heatmap_csv(path, x, zs, matrix):
     """Matrix of renormalized intensity: rows are z samples, columns grid points.
 
-    The rows are split into one contiguous block per usable CPU. Forked
-    children format every block but the first into unnamed files in the
-    target directory while this process streams the first; it then appends
-    the children's blocks in order, so the bytes are those of one block.
-    The lengths of zs and of every row are checked before any fork.
+    A pool of forked workers, one per usable CPU, inherits the rows and
+    formats them in blocks of a few; this process streams the blocks in
+    order into the target, so the bytes are those of a one-process write.
+    Where fork is missing, one CPU is usable or other threads are live, this
+    process formats every block. zs and every row are checked before any fork.
     """
     width = len(x) + 1
     header = "z," + next(_number_lines([x], len(x)))
-    pairs = list(zip(zs, matrix, strict=True))
-    for i, (_, row) in enumerate(pairs):
+    rows = list(zip(zs, matrix, strict=True))
+    for i, (_, row) in enumerate(rows):
         if len(row) + 1 != width:
             raise _length_error(i, len(row) + 1, width)
-
-    def lines(start, stop):
-        return _number_lines(((z, *row.tolist()) for z, row in pairs[start:stop]), width)
-
-    first, *rest = _row_blocks(len(pairs))
-    children, running = [], set()
-    with ExitStack() as stack:
-        stack.callback(_kill, running)
-        for start, stop in rest:
-            spill = stack.enter_context(tempfile.TemporaryFile(dir=_target_dir(path)))
-            children.append((_fork_block(spill, lines(start, stop), running), spill, start, stop))
-        tails = (_block_text(*child, running) for child in children)
-        atomic_write_text(path, chain([header], lines(*first), chain.from_iterable(tails)))
-
-
-def _row_blocks(n_rows: int) -> list:
-    """[start, stop) row ranges, one per usable CPU, or one range where fork is unsafe."""
+    starts = range(0, len(rows), _BLOCK_ROWS)
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = len(os.sched_getaffinity(0))
-    workers = max(1, min(workers, n_rows))
-    bounds = [n_rows * k // workers for k in range(workers + 1)]
-    return list(zip(bounds, bounds[1:]))
+        workers = min(len(os.sched_getaffinity(0)), len(starts))
+    if workers <= 1:
+        atomic_write_text(path, chain([header], (_block(rows, width, s) for s in starts)))
+        return
+    # only a write that forks needs these; `import gainbeam` does not load them
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_init_worker, initargs=(rows, width))
+    try:
+        atomic_write_text(path, chain([header], pool.map(_worker_block, starts)))
+    finally:
+        # after a failure, the blocks not yet started are dropped, not formatted
+        pool.shutdown(cancel_futures=True)
 
 
-def _fork_block(spill, lines, running: set) -> int:
-    """Fork a child that writes ``lines`` to ``spill`` and leaves through os._exit.
+def _block(rows, width: int, start: int) -> str:
+    """The CSV lines of rows [start, start + _BLOCK_ROWS), each z followed by its row."""
+    block = rows[start:start + _BLOCK_ROWS]
+    return "".join(_number_lines(((z, *row.tolist()) for z, row in block), width))
 
-    The child inherits the parent's buffered handles (sys.stdout, say), so
-    it must never run Python's exit path, which would flush them a second
-    time. It exits 0 once the block is complete; on any
-    exception the spill holds the error text instead and it exits 1. SIGINT
-    is blocked across the fork: the child keeps it blocked, and the parent
-    unblocks it once the pid is in ``running``, so an interrupt reaches only
-    the parent, which then kills the child.
-    """
+
+def _init_worker(rows, width: int):
+    # an interrupt is the writer's to handle: it cancels the pool's work
     import signal
 
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                with open(spill.fileno(), "w", encoding="utf-8", newline="\n",
-                          closefd=False) as out:
-                    try:
-                        out.writelines(lines)
-                        status = 0
-                    except BaseException as exc:
-                        out.seek(0)
-                        out.truncate()
-                        out.write(f"{type(exc).__name__}: {exc}")
-            finally:
-                os._exit(status)
-        running.add(pid)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    return pid
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    global _worker_rows
+    _worker_rows = rows, width
 
 
-def _kill(pids: set):
-    """SIGKILL and reap every child still in ``pids``."""
-    if pids:
-        import signal  # only a write that forked needs it; `import gainbeam` does not load it
-
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _block_text(pid: int, spill, start: int, stop: int, running: set):
-    """Wait for the child formatting rows [start, stop) and yield its block in pieces."""
-    _, status = os.waitpid(pid, 0)
-    running.discard(pid)
-    spill.seek(0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        # status 1 leaves the child's error text; a signal (code < 0) may leave part of the block
-        reason = spill.read(2000).decode(errors="replace") if code == 1 else f"exit status {code}"
-        raise RuntimeError(f"formatting heatmap rows {start}-{stop - 1} failed: {reason}")
-    while piece := spill.read(1 << 20):
-        yield piece.decode()
+def _worker_block(start: int) -> str:
+    return _block(*_worker_rows, start)
 
 
 def _flatten(prefix: str, value, out: list):

@@ -92,6 +92,20 @@ class TestRun:
         assert "ABORT oracle: closed forms became non-finite" in capsys.readouterr().out
         assert '"propagator": "oracle"' in (out / "manifest.txt").read_text()
 
+    # 2 omega Im b0 and omega^2 Im b0 underflow to 0 for these accepted values
+    @pytest.mark.parametrize("omega", [1e-30, 1e-13])
+    def test_oracle_divisor_underflow_exits_numeric(self, tmp_path, capsys, omega):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            potential={"kind": "quadratic_linear", "omega": omega, "gamma": 0.5},
+            initial={"q0": 0.0, "p0": 0.0, "b0": [0.0, 1e-300]},
+            propagators=["oracle"],
+        )
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert "ABORT oracle: closed forms became non-finite" in out
+        assert err == ""
+
     def test_width_collapse_exits_numeric(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",

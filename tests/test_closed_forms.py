@@ -441,8 +441,9 @@ class TestQuadraticTrajectory:
         assert out.stdout.strip() == "False"
 
     def test_import_leaves_out_unused_modules(self):
-        # the heatmap writer forks without multiprocessing, and mpmath, scipy
-        # and hypothesis serve the tests only: gainbeam takes no dependency on them
+        # the heatmap writer imports its process pool only when it forks, and
+        # mpmath, scipy and hypothesis serve the tests only: gainbeam takes no
+        # dependency on them
         src = os.path.dirname(os.path.dirname(gainbeam.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         names = ["signal", "multiprocessing", "concurrent.futures", "mpmath", "scipy", "hypothesis"]

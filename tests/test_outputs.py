@@ -2,10 +2,15 @@
 
 import math
 import os
+import signal
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from gainbeam import outputs
 from gainbeam.config import FilterConfig
 from gainbeam.harness import filter_experiment
 from gainbeam.outputs import atomic_write_text, write_csv, write_heatmap_csv
@@ -110,12 +115,15 @@ def use_cpus(monkeypatch, n):
     return forks
 
 
-def assert_no_child_left():
+def assert_nothing_left(directory, name):
+    """Only ``name`` is in ``directory``, and no thread or child process outlived the write."""
+    assert os.listdir(directory) == [name]
+    assert threading.active_count() == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 301])
+@pytest.mark.parametrize("rows", [1, 2, 3, 9, 301])
 def test_heatmap_blocks_match_one_block(tmp_path, monkeypatch, rows):
     x = np.array(VALUES, dtype=float)
     zs = np.linspace(0.0, 3.0, rows)
@@ -124,47 +132,148 @@ def test_heatmap_blocks_match_one_block(tmp_path, monkeypatch, rows):
     use_cpus(monkeypatch, 1)
     write_heatmap_csv(path, x, zs, matrix)
     one_block = path.read_bytes()
+    blocks = -(-rows // outputs._BLOCK_ROWS)
     for cpus in (2, 3, 8):
         forks = use_cpus(monkeypatch, cpus)
         path.write_bytes(b"")
         write_heatmap_csv(path, x, zs, matrix)
         assert path.read_bytes() == one_block
-        assert len(forks) == min(cpus, rows) - 1
-    assert os.listdir(tmp_path) == ["h.csv"]
-    assert_no_child_left()
+        # one worker per CPU, but no more than there are blocks, and no pool for one block
+        workers = min(cpus, blocks)
+        assert len(forks) == (workers if workers > 1 else 0)
+    assert_nothing_left(tmp_path, "h.csv")
+
+
+def test_every_write_fans_out(tmp_path, monkeypatch):
+    matrix = np.random.default_rng(0).random((12, 64))
+    forks = use_cpus(monkeypatch, 2)
+    for k in (1, 2):
+        write_heatmap_csv(tmp_path / "h.csv", np.zeros(64), np.arange(12.0), matrix)
+        assert len(forks) == 2 * k
+        assert_nothing_left(tmp_path, "h.csv")
 
 
 class PoisonedRows(np.ndarray):
-    """A matrix whose rows starting with -1 raise the error in ``poison`` from tolist."""
+    """A matrix whose rows starting with -1 go to ``poison`` from tolist, where they are formatted."""
 
-    poison = RuntimeError("poisoned row")
+    @staticmethod
+    def poison(row):
+        pass
 
     def tolist(self):
         if self.ndim == 1 and self[0] == -1.0:
-            raise self.poison
+            self.poison(self)
         return super().tolist()
 
 
+def poisoned(row):
+    """Twelve rows, three blocks, with ``row`` poisoned."""
+    matrix = np.ones((12, 512))
+    matrix[row, 0] = -1.0
+    return matrix.view(PoisonedRows)
+
+
+def raise_(exc):
+    raise exc
+
+
+def assert_in_worker(writer_pid):
+    # a poison that signals or kills its own process must never run in pytest's
+    assert os.getpid() != writer_pid, "the block was formatted in the writer's process"
+
+
+def signal_writer(writer_pid, signum):
+    """A poison that sends ``signum`` to the writer, then holds its block back a second."""
+    assert_in_worker(writer_pid)
+    os.kill(writer_pid, signum)
+    time.sleep(1.0)
+
+
 @pytest.mark.parametrize(
-    "row, poison, match",
+    "row, poison, error, match",
     [
-        (3, RuntimeError("poisoned row"), "rows 2-3 failed: RuntimeError: poisoned row"),
-        (0, KeyboardInterrupt(), None),
-        (0, RuntimeError("poisoned row"), "poisoned row"),
+        (0, lambda pid: raise_(RuntimeError("poisoned row")), RuntimeError, "poisoned row"),
+        (11, lambda pid: raise_(RuntimeError("poisoned row")), RuntimeError, "poisoned row"),
+        (5, lambda pid: signal_writer(pid, signal.SIGINT), KeyboardInterrupt, None),
+        (5, lambda pid: signal_writer(pid, signal.SIGUSR1), RuntimeError, "writer failed"),
     ],
-    ids=["child_raises", "parent_interrupted", "parent_raises"],
+    ids=["first_block_raises", "last_block_raises", "writer_interrupted", "writer_raises"],
 )
-def test_failed_block_leaves_target_alone(tmp_path, monkeypatch, row, poison, match):
+def test_failed_block_leaves_target_alone(tmp_path, monkeypatch, row, poison, error, match):
     path = tmp_path / "t.csv"
     path.write_bytes(b"old,bytes\n")
-    matrix = np.ones((4, 512))
-    matrix[row, 0] = -1.0
-    matrix = matrix.view(PoisonedRows)
-    monkeypatch.setattr(PoisonedRows, "poison", poison)
+    pid = os.getpid()
+    monkeypatch.setattr(PoisonedRows, "poison", staticmethod(lambda row: poison(pid)))
     forks = use_cpus(monkeypatch, 2)
-    with pytest.raises(type(poison), match=match):
-        write_heatmap_csv(path, np.zeros(512), np.arange(4.0), matrix)
-    assert len(forks) == 1
+    old = signal.signal(signal.SIGUSR1, lambda *_: raise_(RuntimeError("writer failed")))
+    try:
+        with pytest.raises(error, match=match):
+            write_heatmap_csv(path, np.zeros(512), np.arange(12.0), poisoned(row))
+    finally:
+        signal.signal(signal.SIGUSR1, old)
+    assert len(forks) == 2
     assert path.read_bytes() == b"old,bytes\n"
-    assert os.listdir(tmp_path) == ["t.csv"]
-    assert_no_child_left()
+    assert_nothing_left(tmp_path, "t.csv")
+
+
+def test_failure_drops_the_blocks_not_started(tmp_path, monkeypatch):
+    # 40 blocks whose rows each take 50 ms, and the first block raises at once
+    log = tmp_path / "formatted"
+    os.mkdir(log)
+    matrix = np.ones((40 * outputs._BLOCK_ROWS, 512))
+    matrix[:, 0] = -1.0
+    matrix[:, 1] = np.arange(len(matrix))
+
+    def slow_row(row):
+        if row[1] == 0:
+            raise RuntimeError("poisoned row")
+        (log / str(int(row[1]))).touch()
+        time.sleep(0.05)
+
+    monkeypatch.setattr(PoisonedRows, "poison", staticmethod(slow_row))
+    use_cpus(monkeypatch, 2)
+    path = tmp_path / "t.csv"
+    with pytest.raises(RuntimeError, match="poisoned row"):
+        write_heatmap_csv(path, np.zeros(512), np.arange(len(matrix)), matrix.view(PoisonedRows))
+    # the blocks running or queued when it failed may finish; the rest are cancelled
+    assert len(os.listdir(log)) <= 10 * outputs._BLOCK_ROWS
+    assert not path.exists()
+
+
+def test_killed_worker_is_an_error(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old,bytes\n")
+    pid = os.getpid()
+
+    def kill_worker(row):
+        assert_in_worker(pid)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(PoisonedRows, "poison", staticmethod(kill_worker))
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(BrokenProcessPool):
+        write_heatmap_csv(path, np.zeros(512), np.arange(12.0), poisoned(11))
+    assert path.read_bytes() == b"old,bytes\n"
+    assert_nothing_left(tmp_path, "t.csv")
+
+
+def test_workers_ignore_interrupts(tmp_path, monkeypatch):
+    # a terminal's Ctrl-C reaches the whole process group; the writer alone acts on it
+    pid = os.getpid()
+
+    def interrupt_worker(row):
+        assert_in_worker(pid)
+        os.kill(os.getpid(), signal.SIGINT)
+
+    matrix = poisoned(11)
+    path = tmp_path / "h.csv"
+    write_heatmap_csv(path, np.zeros(512), np.arange(12.0), matrix)
+    one_block = path.read_bytes()
+    monkeypatch.setattr(PoisonedRows, "poison", staticmethod(interrupt_worker))
+    use_cpus(monkeypatch, 2)
+    try:
+        write_heatmap_csv(path, np.zeros(512), np.arange(12.0), matrix)
+    except KeyboardInterrupt:
+        pytest.fail("an interrupted worker stopped the write")
+    assert path.read_bytes() == one_block
+    assert_nothing_left(tmp_path, "h.csv")

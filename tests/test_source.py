@@ -5,6 +5,10 @@ listed in its ``__all__``. An import statement marked ``# noqa: F401`` on
 one of its lines is exempt: it keeps a name for code that looks it up from
 outside, such as the harness's grid functions that the benchmark tracer
 wraps.
+
+Every module-level private function, class or constant in ``src/gainbeam``
+is read by some module there, so a helper whose last caller is deleted
+goes with it.
 """
 
 import ast
@@ -54,3 +58,60 @@ def test_the_check_finds_an_unused_import():
         "def f(x):\n    import re\n    numpy = x\n    return pi\n"
     )
     assert unused_imports(source) == ["numpy", "os", "re", "tau"]
+
+
+def dead_helpers(sources: list) -> list:
+    """Module-level private functions, classes and constants of ``sources`` that none reads.
+
+    A name is read where it is loaded, taken as an attribute or imported
+    from a module; a function's or class's reads of its own name do not count.
+    """
+    trees = [ast.parse(source) for source in sources]
+
+    def reads(node) -> list:
+        names = []
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.append(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.append(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                names.extend(a.name for a in n.names)
+        return names
+
+    every = [name for tree in trees for name in reads(tree)]
+    dead = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined, own = [node.name], reads(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined, own = [t.id for t in targets if isinstance(t, ast.Name)], []
+        else:
+            continue
+        dead.extend(
+            name for name in defined
+            if name.startswith("_") and not name.startswith("__")
+            and every.count(name) == own.count(name)
+        )
+    return sorted(dead)
+
+
+def test_every_private_helper_is_read():
+    assert dead_helpers([p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]) == []
+
+
+def test_the_check_finds_a_dead_helper():
+    a = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "__all__ = ['public']\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "def _called():\n    return _USED\n"
+        "def _shared():\n    pass\n"
+        "def _as_attribute():\n    pass\n"
+        "class _Orphan:\n    def _method(self):\n        pass\n"
+        "def public():\n    return _called()\n"
+    )
+    b = "from . import a\nfrom .a import _shared\n\ndef g():\n    return a._as_attribute()\n"
+    assert dead_helpers([a, b]) == ["_Orphan", "_UNUSED", "_recursive"]
