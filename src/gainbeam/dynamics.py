@@ -321,5 +321,8 @@ def reconstruct_wavefunction(
     x = grid.positions()
     u = x - params.q
     phase = 0.5 * params.b * u * u + params.p * u + params.alpha
-    amps = params.norm * (params.b.imag / (math.pi * hbar)) ** 0.25 * np.exp(1j * phase / hbar)
+    # a tiny hbar overflows the prefactor or the phase to inf/nan, which the
+    # callers' finiteness and mass checks turn into their errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = params.norm * (params.b.imag / (math.pi * hbar)) ** 0.25 * np.exp(1j * phase / hbar)
     return GridState(grid, amps, z)

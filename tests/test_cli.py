@@ -3,6 +3,7 @@ import os
 import stat
 import tempfile
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +106,32 @@ class TestRun:
         out, err = capsys.readouterr()
         assert "ABORT oracle: closed forms became non-finite" in out
         assert err == ""
+
+    # hbar 1e-300 overflows the grid's potential factor (b0 = i), a recorded
+    # abort, and for a narrow beam (b0 = 1e10 i) the reconstructed field's
+    # phase and prefactor, whose NaN mass is a config error
+    @pytest.mark.parametrize(
+        "im_b0, code, err",
+        [(1.0, EXIT_NUMERIC, ""), (1e10, EXIT_CONFIG, "config error: the initial beam")],
+        ids=["factors", "field"],
+    )
+    def test_tiny_hbar_grid_warns_nothing(self, tmp_path, capsys, im_b0, code, err):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            potential={"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1.0, "eta": 5.0},
+            initial={"q0": 0.0, "p0": 0.0, "b0": [0.0, im_b0]},
+            propagators=["grid"],
+            z_max=0.01,
+            grid={"half_width": 20.0, "n_points": 256, "dz": 1e-3},
+            constants={"hbar": 1e-300},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == code
+        assert [str(w.message) for w in caught] == []
+        # nothing on stderr but the config error's one line
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(err) and stderr.count("\n") == bool(err)
 
     def test_width_collapse_exits_numeric(self, tmp_path, capsys):
         cfg = write_config(

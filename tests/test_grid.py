@@ -249,6 +249,71 @@ class TestPropagate:
         assert all(norm > 0.0 for norm in err.value.partial.norm)
 
 
+def textbook_step(psi, potential, spec, dz):
+    """One Strang step as written in the grid module's docstring."""
+    half = np.exp(-0.5j * dz * potential.value(spec.positions()))
+    kinetic = np.exp(-0.5j * dz * spec.wavenumbers() ** 2)
+    return np.fft.ifft(kinetic * np.fft.fft(half * psi)) * half
+
+
+@pytest.mark.filterwarnings("ignore::gainbeam.errors.BoundaryContaminationWarning")
+class TestKernel:
+    """The batched half-length kernel against the textbook step."""
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    @pytest.mark.parametrize("field", ["random", "beam"])
+    def test_one_step(self, n, field):
+        spec = GridSpec(20.0, n)
+        if field == "random":
+            rng = np.random.default_rng(n)
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        else:
+            psi = reconstruct_wavefunction(GaussianParams(-1.0, 0.7, 0.3 + 1j), spec).amplitudes
+        dz = 1e-2
+        got = propagate(GridState(spec, psi), TANH, dz, dz=dz).final.amplitudes
+        want = textbook_step(psi, TANH, spec, dz)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_run_matches_textbook_steps(self):
+        spec = GridSpec(12.0, 1024)
+        psi = reconstruct_wavefunction(GaussianParams(0.5, -0.3, 0.2 + 1j), spec).amplitudes
+        dz = 1e-3
+        run = propagate(GridState(spec, psi), TANH, 100 * dz, dz=dz, sample_stride=10)
+        assert len(run) == 11
+        for i in range(11):
+            if i:
+                for _ in range(10):
+                    psi = textbook_step(psi, TANH, spec, dz)
+            state = GridState(spec, psi, i * 10 * dz)
+            want = observables(state)
+            for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass"):
+                got, ref = getattr(run, name)[i], getattr(want, name)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (name, i)
+            ref_row = renormalized_intensity(state)
+            assert np.max(np.abs(run.intensity[i] - ref_row)) <= 1e-12 * np.max(ref_row)
+        assert np.max(np.abs(run.final.amplitudes - psi)) <= 1e-12 * np.max(np.abs(psi))
+
+    def test_fft_calls(self, monkeypatch):
+        # one forward and one inverse call per step, and one forward call
+        # per sample for <p>; np.fft is looked up at call time, so wrappers
+        # put on it see every call
+        calls = {"fft": 0, "ifft": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.fft, "fft", counting("fft", np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counting("ifft", np.fft.ifft))
+        spec = GridSpec(12.0, 256)
+        psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j), spec)
+        run = propagate(psi0, TANH, 0.1, dz=1e-3, sample_stride=7)
+        assert len(run) == 16  # steps 0, 7, ..., 98 and 100
+        assert calls == {"fft": 100 + 16, "ifft": 100}
+
+
 class TestExactlyQuadraticOracle:
     """Full grid state against the reconstructed closed-form Gaussian.
 
