@@ -112,8 +112,6 @@ class OscillatorSolution:
     a_coeff: float
     b_coeff: float
     forcing_scale: float
-    q0: float
-    p0: float
     b0: complex
     gamma: float
     omega: float
@@ -203,7 +201,7 @@ def _driven_solution(
     a = q0 - scale * c_coeff
     qdot0 = p0 + gamma / b0.imag
     b = (qdot0 - scale * 2.0 * omega * s_coeff) / omega
-    return OscillatorSolution(a, b, scale, q0, p0, b0, gamma, omega)
+    return OscillatorSolution(a, b, scale, b0, gamma, omega)
 
 
 def center_solution(

@@ -320,9 +320,9 @@ def reconstruct_wavefunction(
         )
     x = grid.positions()
     u = x - params.q
-    phase = 0.5 * params.b * u * u + params.p * u + params.alpha
-    # a tiny hbar overflows the prefactor or the phase to inf/nan, which the
-    # callers' finiteness and mass checks turn into their errors
+    # a tiny hbar, or a grid far from the beam, overflows the prefactor or
+    # the phase to inf/nan, which propagate's check of its initial field rejects
     with np.errstate(over="ignore", invalid="ignore"):
+        phase = 0.5 * params.b * u * u + params.p * u + params.alpha
         amps = params.norm * (params.b.imag / (math.pi * hbar)) ** 0.25 * np.exp(1j * phase / hbar)
     return GridState(grid, amps, z)

@@ -236,22 +236,19 @@ def propagate(
     loop, bit for bit as :func:`observables` and
     :func:`renormalized_intensity` measure a field.
 
-    Raises NumericalAbortError if the field becomes non-finite (gain
-    overflow) or |psi|^2 vanishes (loss underflow); its ``partial`` holds
-    the samples taken before. Samples with more than 1% of |psi|^2 in the
-    outer 5% of the domain are counted, and one BoundaryContaminationWarning
-    per call reports their number, the first z and the largest edge mass,
-    also when the run aborts.
+    Raises ValueError if V or the initial field is non-finite on the grid
+    or the field puts no |psi|^2 on it, and NumericalAbortError if the
+    field becomes non-finite (gain overflow) or |psi|^2 vanishes (loss
+    underflow); its ``partial`` holds the samples taken before. Samples
+    with more than 1% of |psi|^2 in the outer 5% of the domain are
+    counted, and one BoundaryContaminationWarning per call reports their
+    number, the first z and the largest edge mass, also when the run aborts.
     """
     n_steps, dz_eff, sample_steps = schedule(z_max, dz, sample_stride)
     spec = initial.spec
     n, m = spec.n_points, spec.n_points // 2
 
     x, k, dx, edge_mask = _geometry(spec)
-    v = np.asarray(potential.value(x), dtype=complex)
-    if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
-        raise ValueError("potential is non-finite on the grid")
-
     # rows z, norm, mean_q, mean_p, delta_q, edge_mass; a column per sample
     table = np.empty((6, len(sample_steps)))
     intensity = np.empty((len(sample_steps), n))
@@ -261,10 +258,13 @@ def propagate(
     # and odd samples: the two rows of the batched half-length FFTs
     chi, halves, mix, odd = (np.empty((2, m), dtype=complex) for _ in range(4))
 
-    # overflow (a tiny hbar in the factors, gain in the field) is detected
-    # via the finiteness check at sample times; a field near overflow
-    # measures as inf/nan
+    # overflow (in V at a wide grid, a tiny hbar in the factors, gain in
+    # the field) is detected by the finiteness checks on V and at sample
+    # times; a field near overflow measures as inf/nan
     with np.errstate(over="ignore", invalid="ignore"):
+        v = np.asarray(potential.value(x), dtype=complex)
+        if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+            raise ValueError("potential is non-finite on the grid")
         half_potential = _rows(np.exp(-0.5j * dz_eff * v / constants.hbar)).copy()
         full_potential = half_potential * half_potential
         kinetic = np.exp(-0.5j * constants.hbar * dz_eff * k * k / constants.n_zero)
@@ -287,9 +287,15 @@ def propagate(
                 psi = np.empty(n, dtype=complex)
                 np.multiply(chi, half_potential, out=_rows(psi))
             density, mass, moments = _measure(psi, x, k, dx, edge_mask, constants.hbar)
-            # the initial field is taken as given; later, a non-finite field
-            # is gain overflow and no moments means loss has underflowed |psi|^2
-            finite = not step or np.all(np.isfinite(psi.real) & np.isfinite(psi.imag))
+            finite = np.all(np.isfinite(psi.real) & np.isfinite(psi.imag))
+            if not step and (moments is None or not finite):
+                raise ValueError(
+                    "the initial beam puts no |psi|^2 on the grid: initial.norm0 is too "
+                    "small or the beam lies outside [-half_width, half_width)" if finite else
+                    "the initial beam is non-finite on the grid: constants.hbar is too "
+                    "small for the beam's width, or the grid spans too far from its center"
+                )
+            # later, a non-finite field is gain overflow; no moments, loss underflow
             if moments is None or not finite:
                 break
             table[:, taken] = (step * dz_eff, *moments)

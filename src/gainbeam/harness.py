@@ -51,7 +51,6 @@ GRID_COLUMNS = ("z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass")
 class ObservableSeries:
     """Beam observables on a set of z samples, from any propagator."""
 
-    label: str
     z: np.ndarray
     mean_q: np.ndarray
     norm: np.ndarray
@@ -65,30 +64,31 @@ class ObservableSeries:
             return self
         return replace(self, **{
             name: value[indices] for name, value in vars(self).items()
-            if name not in ("label", "x") and value is not None
+            if name != "x" and value is not None
         })
 
 
-def _observe_trajectory(traj: Trajectory, label: str, config, with_intensity: bool):
+def _observe_trajectory(traj: Trajectory, config, with_intensity: bool):
     cols = traj.columns()
-    intensity = None
-    x = None
+    intensity = x = None
     if with_intensity:
         x = config.grid_spec().positions()
         hbar = config.constants.hbar
         # renormalized |psi|^2 of the ansatz in closed form (norm-independent),
         # sqrt(Im B / (pi hbar)) exp(-Im B (x - q)^2 / hbar), one row per sample
         im_b, u = traj.im_b[:, None], x - traj.q[:, None]
-        intensity = -im_b * u * u / hbar
-        np.exp(intensity, out=intensity)
-        intensity *= np.sqrt(im_b / (math.pi * hbar))
-    series = ObservableSeries(label, cols["z"], cols["q"], cols["norm"], intensity, x)
+        # a grid far wider than the beam overflows the exponent to -inf: intensity 0
+        with np.errstate(over="ignore"):
+            intensity = -im_b * u * u / hbar
+            np.exp(intensity, out=intensity)
+            intensity *= np.sqrt(im_b / (math.pi * hbar))
+    series = ObservableSeries(cols["z"], cols["q"], cols["norm"], intensity, x)
     return series, TRAJECTORY_COLUMNS, np.column_stack([cols[c] for c in TRAJECTORY_COLUMNS])
 
 
-def _observe_grid(run: GridRun, label: str, config, with_intensity: bool):
+def _observe_grid(run: GridRun, config, with_intensity: bool):
     series = ObservableSeries(
-        label, run.z, run.mean_q, run.norm,
+        run.z, run.mean_q, run.norm,
         intensity=run.intensity if with_intensity else None,
         x=run.final.spec.positions() if with_intensity else None,
     )
@@ -99,8 +99,6 @@ def _observe_grid(run: GridRun, label: str, config, with_intensity: bool):
 class ComparisonReport:
     """Sup metrics over the shared z samples of two observable series."""
 
-    label_a: str
-    label_b: str
     sup_q_error: float
     sup_norm_rel_error: float
     renormalized_intensity_l2: float
@@ -130,13 +128,14 @@ def compare(series_a: ObservableSeries, series_b: ObservableSeries) -> Compariso
     q_err = np.abs(series_a.mean_q - series_b.mean_q)
     floor = NORM_FLOOR_FACTOR * float(np.max(np.abs(series_b.norm)))
     denom = np.maximum(np.abs(series_b.norm), max(floor, np.finfo(float).tiny))
-    norm_err = np.abs(series_a.norm - series_b.norm) / denom
+    # norms near overflow give an inf or nan error, which the report shows
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_err = np.abs(series_a.norm - series_b.norm) / denom
     if (
         series_a.intensity is not None
         and series_b.intensity is not None
         and series_a.x is not None
         and series_b.x is not None
-        and series_a.x.shape == series_b.x.shape
         and np.array_equal(series_a.x, series_b.x)
     ):
         dx = series_a.x[1] - series_a.x[0]
@@ -148,8 +147,6 @@ def compare(series_a: ObservableSeries, series_b: ObservableSeries) -> Compariso
     table = np.column_stack([series_a.z, q_err, norm_err, l2])
     mean_l2 = float(np.mean(l2)) if not np.all(np.isnan(l2)) else math.nan
     return ComparisonReport(
-        label_a=series_a.label,
-        label_b=series_b.label,
         sup_q_error=float(q_err.max()),
         sup_norm_rel_error=float(norm_err.max()),
         renormalized_intensity_l2=mean_l2,
@@ -200,26 +197,15 @@ def _run_oracle(config: ScenarioConfig, initial: GaussianParams, potential):
 
 def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
     state = reconstruct_wavefunction(initial, config.grid_spec(), constants=config.constants)
-    with np.errstate(over="ignore"):
-        mass = (np.abs(state.amplitudes) ** 2).sum()
-    if not mass > 0.0:
-        raise ConfigError(
-            "the initial beam puts no |psi|^2 on the grid: initial.norm0 is too small "
-            "or the beam lies outside [-half_width, half_width)"
-        )
     return propagate(
-        state,
-        potential,
-        config.z_max,
-        dz=config.grid.dz,
-        sample_stride=config.sample_stride,
-        constants=config.constants,
+        state, potential, config.z_max,
+        dz=config.grid.dz, sample_stride=config.sample_stride, constants=config.constants,
     )
 
 
 class _Propagator(NamedTuple):
     run: Callable  # (config, initial, potential) -> Trajectory or GridRun; aborts carry .partial
-    observe: Callable  # (record, label, config, with_intensity) -> (series, header, rows)
+    observe: Callable  # (record, config, with_intensity) -> (series, header, rows)
     step: str  # config section whose dz sets the sample schedule
     csv: str
 
@@ -257,7 +243,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
 
     Width collapse and numerical overflow in one propagator do not fail
     the run: they are recorded as aborts (with the z reached) and any
-    partial data is still exported.
+    partial data is still exported. A propagator's ValueError (say, a
+    potential non-finite on the grid) is raised as ConfigError.
     """
     potential = config.build_potential()
     initial = GaussianParams(
@@ -281,7 +268,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         except NumericalAbortError as exc:
             aborts.append(PropagatorAbort(name, str(exc), exc.z))
             record = exc.partial
-        series[name], header, rows = prop.observe(record, name, config, with_intensity)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        series[name], header, rows = prop.observe(record, config, with_intensity)
         tables[name] = (header, rows)
         if isinstance(record, Trajectory):
             trajectories[name] = record
@@ -349,8 +338,6 @@ def _write_run(out_dir, config, outputs, derived=None, report=None):
 class FilterPair:
     index_a: int
     index_b: int
-    b0_a: complex
-    b0_b: complex
     predicted_rate: float
     measured_rates: dict
     resolvability_z: float | None
@@ -385,68 +372,47 @@ def filter_experiment(config: FilterConfig, out_dir: str | None = None) -> Filte
         )
         for b0 in config.widths
     ]
-    zs = trajectories[0].z
+    zs, dz = trajectories[0].z, trajectories[0].dz
     centers = np.array([t.q for t in trajectories])
     scale = math.sqrt(config.constants.hbar)
     beam_widths = np.array([scale * t.columns()["delta_q"] for t in trajectories])
+    del trajectories  # freed before the pair arrays, which take as much memory again
 
+    # every pair (a[k], b[k]) at once, in the order of itertools.combinations
+    b0 = np.array(config.widths)
+    a, b = np.triu_indices(len(b0), 1)
+    separations = np.abs(centers[a] - centers[b])
+    drift = width_drift_rate(b0, slope)
+    predicted = np.abs(drift[a] - drift[b])
     # FilterConfig has checked that every probe lands on a step
-    probe_indices = {probe: round(probe / trajectories[0].dz) for probe in config.probe_z}
-
-    pairs = []
-    for i, j in combinations(range(len(config.widths)), 2):
-        separation = np.abs(centers[i] - centers[j])
-        predicted = abs(
-            width_drift_rate(config.widths[i], slope)
-            - width_drift_rate(config.widths[j], slope)
+    probes = sorted(set(config.probe_z))
+    steps = [round(probe / dz) for probe in probes]
+    rates = separations[:, steps] / zs[steps]
+    # z = 0 is left out: the beams start at one point
+    resolved = separations[:, 1:] > beam_widths[a, 1:] + beam_widths[b, 1:]
+    first_z = np.where(resolved.any(axis=1), zs[1:][resolved.argmax(axis=1)], math.nan)
+    pairs = [
+        FilterPair(i, j, rate, dict(zip(probes, measured)), None if math.isnan(z) else z)
+        for i, j, rate, measured, z in zip(
+            a.tolist(), b.tolist(), predicted.tolist(), rates.tolist(), first_z.tolist()
         )
-        measured = {
-            probe: float(separation[idx] / zs[idx]) for probe, idx in probe_indices.items()
-        }
-        resolvable = separation > (beam_widths[i] + beam_widths[j])
-        resolvable[0] = False
-        hit = np.flatnonzero(resolvable)
-        pairs.append(
-            FilterPair(
-                index_a=i,
-                index_b=j,
-                b0_a=config.widths[i],
-                b0_b=config.widths[j],
-                predicted_rate=predicted,
-                measured_rates=measured,
-                resolvability_z=float(zs[hit[0]]) if len(hit) else None,
-            )
-        )
-
-    report = FilterReport(
-        config=config, z=zs, centers=centers, widths=beam_widths, pairs=pairs
-    )
+    ]
     if out_dir is not None:
-        rows = [
-            (
-                pair.index_a,
-                pair.index_b,
-                pair.b0_a.imag,
-                pair.b0_b.imag,
-                probe,
-                pair.predicted_rate,
-                rate,
-                math.nan if pair.resolvability_z is None else pair.resolvability_z,
-            )
-            for pair in pairs
-            for probe, rate in sorted(pair.measured_rates.items())
-        ]
-        separations = np.column_stack(
-            [zs] + [np.abs(centers[p.index_a] - centers[p.index_b]) for p in pairs]
-        )
+        # a row per pair and probe
+        n = len(probes)
+        rows = np.column_stack([
+            np.repeat(np.column_stack([a, b, b0.imag[a], b0.imag[b]]), n, axis=0),
+            np.tile(probes, len(a)), np.repeat(predicted, n), rates.ravel(), np.repeat(first_z, n),
+        ])
         rate_header = (
             "beam_a", "beam_b", "im_b0_a", "im_b0_b", "probe_z",
             "predicted_rate", "measured_rate", "resolvability_z",
         )
-        separation_header = ["z"] + [f"separation_{p.index_a}_{p.index_b}" for p in pairs]
+        separation_header = ["z"] + [f"separation_{i}_{j}" for i, j in zip(a, b)]
         # no derived or report section: a filter manifest holds the config only
         _write_run(out_dir, config, [
             ("filter_rates.csv", write_csv, (rate_header, rows)),
-            ("filter_separations.csv", write_csv, (separation_header, separations)),
+            ("filter_separations.csv", write_csv,
+             (separation_header, np.column_stack([zs, separations.T]))),
         ])
-    return report
+    return FilterReport(config=config, z=zs, centers=centers, widths=beam_widths, pairs=pairs)

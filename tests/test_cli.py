@@ -133,6 +133,50 @@ class TestRun:
         stderr = capsys.readouterr().err
         assert stderr.startswith(err) and stderr.count("\n") == bool(err)
 
+    # numpy overflows on each of these (in V, the initial phase, the
+    # ansatz's intensity or the norm error): the checks downstream decide
+    # the exit code, and nothing warns
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ({"potential": {"kind": "quadratic_linear", "omega": 1e154, "gamma": 0.5},
+              "initial": {"q0": 0.0, "p0": 0.0, "b0": [0.0, 1.0]}}, EXIT_CONFIG),
+            ({"grid": {"half_width": 1e200, "n_points": 256, "dz": 1e-3}}, EXIT_CONFIG),
+            ({"grid": {"half_width": 1e200, "n_points": 256, "dz": 1e-3},
+              "propagators": ["gaussian", "grid", "oracle"]}, EXIT_CONFIG),
+            ({"potential": {"kind": "quadratic_linear", "omega": 1.0, "gamma": 1e154},
+              "propagators": ["gaussian", "grid", "oracle"]}, EXIT_NUMERIC),
+            ({"potential": {"kind": "quadratic_linear", "omega": 1.0, "gamma": -1e154},
+              "propagators": ["gaussian", "grid", "oracle"]}, EXIT_NUMERIC),
+            ({"initial": {"q0": 0.5, "p0": 0.0, "b0": [0.0, 1.0], "norm0": 1e154},
+              "propagators": ["gaussian", "grid"]}, EXIT_OK),
+            ({"potential": {"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1e154,
+                            "eta": 5.0}}, EXIT_OK),
+            ({"potential": {"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1.0,
+                            "eta": 1e-154}}, EXIT_OK),
+        ],
+        ids=["omega-1e154", "half-width-1e200", "half-width-1e200-all", "gamma-1e154",
+             "gamma--1e154", "norm0-1e154", "tanh-omega-1e154", "tanh-eta-1e-154"],
+    )
+    def test_extreme_inputs_warn_nothing(self, tmp_path, capsys, overrides, code):
+        doc = {
+            "initial": {"q0": 0.5, "p0": 0.0, "b0": [0.0, 1.0]},
+            "propagators": ["grid"],
+            "z_max": 0.02,
+            "grid": {"half_width": 20.0, "n_points": 256, "dz": 1e-3},
+            "sample_stride": 5,
+        }
+        cfg = write_config(tmp_path / "cfg.json", **(doc | overrides))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == code
+        assert [str(w.message) for w in caught] == []
+        stderr = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert stderr.startswith("config error:") and stderr.count("\n") == 1
+        else:
+            assert stderr == ""
+
     def test_width_collapse_exits_numeric(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -284,7 +328,8 @@ ORDINARY_DOCS = st.fixed_dictionaries(
         "heatmap": st.booleans(),
     }
 )
-NUMBER_EDGES = (0.0, -1.0, 5e-324, 1e-300, 1e300)
+# 1e154 squares to a finite 1e308, but x^2 omega^2 overflows on a grid
+NUMBER_EDGES = (0.0, -1.0, 5e-324, 1e-300, 1e154, 1e300)
 # edges of the fields whose ordinary range bounds the work of a run
 EDGES = {
     "z_max": (0.0, -0.01, 5e-324, 1e-300),
@@ -339,8 +384,21 @@ ZERO_NORM = {
 }
 
 
+# V = omega^2 x^2 / 2 is non-finite on this grid: a config error
+OMEGA_OVERFLOW = {
+    "schema_version": 1,
+    "name": "cli-fuzz",
+    "potential": {"kind": "quadratic_linear", "omega": 1e154, "gamma": 0.5},
+    "initial": {"q0": 0.0, "p0": 0.0, "b0": [0.0, 1.0]},
+    "propagators": ["grid"],
+    "z_max": 0.02,
+    "grid": {"half_width": 20.0, "n_points": 256, "dz": 1e-3},
+}
+
+
 @settings(max_examples=150, deadline=None)
 @example(doc=ZERO_NORM)
+@example(doc=OMEGA_OVERFLOW)
 @given(doc=scenario_docs())
 def test_run_exits_with_a_code_on_any_document(doc):
     assert _exit_code("run", doc) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,26 @@ class TestPropagate:
             propagate(psi0, HugeGain(), 2.0, dz=1e-2, sample_stride=1)
         assert err.value.z is not None
         assert err.value.partial
+
+    @pytest.mark.parametrize(
+        "amplitude, potential, match",
+        [
+            (0.0, QUAD, "puts no"),
+            (math.nan, QUAD, "initial beam is non-finite"),
+            (math.inf, QUAD, "initial beam is non-finite"),
+            # V = omega^2 x^2 / 2 overflows at x^2 omega^2 > 1.8e308
+            (1.0, QuadraticLinear(omega=1e154, gamma=0.5), "potential is non-finite"),
+        ],
+        ids=["zero", "nan", "inf", "potential"],
+    )
+    def test_inputs_that_give_no_sample_are_value_errors(self, amplitude, potential, match):
+        spec = GridSpec(20.0, 256)
+        field = np.zeros(256, dtype=complex)
+        field[128] = amplitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                propagate(GridState(spec, field), potential, 0.01, dz=1e-3)
 
     def test_record_ends_on_the_final_field(self):
         # the columns are measured in the loop exactly as observables and

@@ -1,11 +1,13 @@
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gainbeam.closed_forms import width_drift_rate
 from gainbeam.config import (
     FilterConfig,
     GaussianSettings,
@@ -110,32 +112,31 @@ class TestConfigValidation:
 
 
 class TestCompare:
-    def make_series(self, label, q_offset=0.0, norm_factor=1.0):
+    def make_series(self, q_offset=0.0, norm_factor=1.0):
         z = np.linspace(0, 5, 11)
         return ObservableSeries(
-            label=label,
             z=z,
             mean_q=np.sin(z) + q_offset,
             norm=np.exp(0.1 * z) * norm_factor,
         )
 
     def test_self_comparison_is_zero(self):
-        a = self.make_series("a")
+        a = self.make_series()
         rep = compare(a, a)
         assert rep.sup_q_error == 0.0
         assert rep.sup_norm_rel_error == 0.0
 
     def test_constant_offset(self):
-        rep = compare(self.make_series("a", q_offset=0.25), self.make_series("b"))
+        rep = compare(self.make_series(q_offset=0.25), self.make_series())
         assert rep.sup_q_error == pytest.approx(0.25)
 
     def test_relative_norm_error(self):
-        rep = compare(self.make_series("a", norm_factor=1.01), self.make_series("b"))
+        rep = compare(self.make_series(norm_factor=1.01), self.make_series())
         assert rep.sup_norm_rel_error == pytest.approx(0.01)
 
     def test_mismatched_sampling_rejected(self):
-        a = self.make_series("a")
-        b = self.make_series("b")
+        a = self.make_series()
+        b = self.make_series()
         b.z = b.z + 0.1
         with pytest.raises(ValueError, match="mismatched sampling"):
             compare(a, b)
@@ -300,6 +301,17 @@ class TestRunScenario:
             initial=InitialBeam(q0=q0, p0=0.0, b0=1j, norm0=norm0), propagators=("grid",)
         )
         with pytest.raises(ConfigError, match="puts no"):
+            run_scenario(cfg)
+
+    def test_non_finite_initial_field_is_config_error(self):
+        # hbar 1e-300 overflows the narrow beam's prefactor and phase to inf/nan
+        cfg = small_config(
+            initial=InitialBeam(q0=0.0, p0=0.0, b0=1e10j),
+            propagators=("grid",),
+            grid=GridSettings(half_width=20.0, n_points=256, dz=1e-3),
+            constants=PhysicalConstants(hbar=1e-300),
+        )
+        with pytest.raises(ConfigError, match="non-finite on the grid: constants.hbar"):
             run_scenario(cfg)
 
     def test_outputs_written(self, tmp_path):
@@ -506,3 +518,58 @@ class TestFilterExperiment:
         filter_experiment(parsed, out_dir=str(tmp_path / "b"))
         for name in ("filter_rates.csv", "filter_separations.csv", "manifest.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def loop_pairs(config, report):
+    """The per-pair loop filter_experiment ran before its one pass over all pairs.
+
+    Each pair as (index_a, index_b, predicted_rate, measured_rates,
+    resolvability_z), read off the report's z, centers and widths.
+    """
+    slope = config.build_potential().sample(config.q0).dv_imag
+    _, dz_eff, _ = schedule(config.z_max, config.dz, 1)
+    probe_indices = {probe: round(probe / dz_eff) for probe in config.probe_z}
+    zs, centers, beam_widths = report.z, report.centers, report.widths
+    pairs = []
+    for i, j in combinations(range(len(config.widths)), 2):
+        separation = np.abs(centers[i] - centers[j])
+        predicted = abs(
+            width_drift_rate(config.widths[i], slope) - width_drift_rate(config.widths[j], slope)
+        )
+        measured = {
+            probe: float(separation[idx] / zs[idx]) for probe, idx in probe_indices.items()
+        }
+        resolvable = separation > (beam_widths[i] + beam_widths[j])
+        resolvable[0] = False
+        hit = np.flatnonzero(resolvable)
+        pairs.append((i, j, predicted, measured, float(zs[hit[0]]) if len(hit) else None))
+    return pairs
+
+
+# gamma up to 20 makes some pairs resolvable within z = 0.1, the rest never
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(
+        st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 3.0)), min_size=2, max_size=4
+    ),
+    hbar=st.sampled_from([0.25, 1.0]),
+    kind=st.sampled_from([
+        {"kind": "quadratic_linear", "omega": 1.0},
+        {"kind": "pt_tanh_gaussian", "omega": 1.0, "eta": 10.0},
+    ]),
+    gamma=st.floats(0.5, 20.0),
+    q0=st.floats(-1.0, 1.0),
+    probe_steps=st.lists(st.integers(1, 100), min_size=1, max_size=3),
+)
+def test_filter_pairs_match_the_per_pair_loop(widths, hbar, kind, gamma, q0, probe_steps):
+    cfg = FilterConfig(
+        name="pairs", widths=tuple(widths), q0=q0, potential={**kind, "gamma": gamma},
+        z_max=0.1, dz=1e-3, probe_z=tuple(k * 1e-3 for k in probe_steps),
+        constants=PhysicalConstants(hbar=hbar),
+    )
+    report = filter_experiment(cfg)
+    got = [
+        (p.index_a, p.index_b, p.predicted_rate, p.measured_rates, p.resolvability_z)
+        for p in report.pairs
+    ]
+    assert got == loop_pairs(cfg, report)
