@@ -100,33 +100,24 @@ def _forcing_coeffs(b0: complex, omega: float):
 
 @dataclass(frozen=True)
 class OscillatorSolution:
-    """Center trajectory q(z) = a cos wz + b sin wz + forcing_scale * (Re B / Im B)(z).
+    """Center trajectory q(z) = a cos wz + b sin wz + scale (Re B / Im B)(z).
 
-    ``forcing_scale`` multiplies the 2 omega width forcing; it vanishes
-    (and a, b reduce to the plain shifted oscillation) for B0 = i omega.
-    q is a real trig polynomial of degree 2 in wz: ``_coeffs`` forms its
-    coefficients of e^{ikwz}, k = -2..2, and every method reads them, so
-    q', q'' and integral_0^z q are exact.
+    q is a real trig polynomial of degree 2 in wz; ``coeffs`` holds its
+    coefficients of e^{ikwz}, k = -2..2 (the e^{iwz} one is (a - i b) / 2),
+    and every method reads them, so q', q'' and integral_0^z q are exact.
+    The 2 omega terms, the width forcing's, vanish for B0 = i omega.
     """
 
-    a_coeff: float
-    b_coeff: float
-    forcing_scale: float
+    coeffs: np.ndarray
     b0: complex
     gamma: float
     omega: float
 
-    @property
-    def _coeffs(self) -> np.ndarray:
-        s_coeff, c_coeff = _forcing_coeffs(self.b0, self.omega)
-        scale = self.forcing_scale
-        return _trig2(0.0, self.a_coeff, self.b_coeff, scale * c_coeff, scale * s_coeff)
-
     def q(self, z):
-        return _evaluate(self._coeffs, self.omega * z)
+        return _evaluate(self.coeffs, self.omega * z)
 
     def q_dot(self, z):
-        return _evaluate(_derivative(self._coeffs, self.omega), self.omega * z)
+        return _evaluate(_derivative(self.coeffs, self.omega), self.omega * z)
 
     def p(self, z):
         """Momentum p = q' - gamma / Im B(z)."""
@@ -135,7 +126,7 @@ class OscillatorSolution:
 
     def q_integral(self, z):
         """integral_0^z q(s) ds in closed form."""
-        return _antiderivative(self._coeffs, self.omega, z, self.omega * z)
+        return _antiderivative(self.coeffs, self.omega, z, self.omega * z)
 
     def norm_ratio(self, z, hbar: float = 1.0):
         """N(z) / N0 = exp((gamma / hbar) integral_0^z q ds)."""
@@ -148,7 +139,7 @@ class OscillatorSolution:
         for :func:`center_solution`, whose forcing is three times larger.
         """
         w = self.omega
-        qpp = _evaluate(_derivative(_derivative(self._coeffs, w), w), w * z)
+        qpp = _evaluate(_derivative(_derivative(self.coeffs, w), w), w * z)
         return qpp + w * w * self.q(z) - self.gamma * forcing_ratio(self.b0, w, z)
 
 
@@ -201,7 +192,8 @@ def _driven_solution(
     a = q0 - scale * c_coeff
     qdot0 = p0 + gamma / b0.imag
     b = (qdot0 - scale * 2.0 * omega * s_coeff) / omega
-    return OscillatorSolution(a, b, scale, b0, gamma, omega)
+    coeffs = _trig2(0.0, a, b, scale * c_coeff, scale * s_coeff)
+    return OscillatorSolution(coeffs, b0, gamma, omega)
 
 
 def center_solution(
@@ -329,7 +321,7 @@ def _phase_change(sol: OscillatorSolution, hbar: float, z: np.ndarray) -> np.nda
     )
     # with p = q' - gamma / Im B, the rest is f = (q'^2 - omega^2 q^2 - (gamma / Im B)^2) / 2,
     # whose factors are degree-2 trig polynomials in theta = omega z
-    q = sol._coeffs
+    q = sol.coeffs
     q_dot = _derivative(q, omega)
     # gamma / Im B = gamma |D|^2 / (omega^2 Im B0)
     g = gamma / np.float64(omega * omega * b0.imag)

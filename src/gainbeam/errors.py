@@ -1,5 +1,13 @@
 """Exceptions and warnings shared across the propagators and the harness."""
 
+__all__ = [
+    "NumericalAbortError",
+    "WidthCollapseError",
+    "ConfigError",
+    "BoundaryContaminationWarning",
+    "NarrowGridWarning",
+]
+
 
 class NumericalAbortError(RuntimeError):
     """A propagation could not continue: gain overflow, loss underflow or width collapse.

@@ -68,12 +68,21 @@ class ObservableSeries:
         })
 
 
-def _observe_trajectory(traj: Trajectory, config, with_intensity: bool):
+def _physical_columns(traj: Trajectory, hbar: float) -> dict:
+    """``traj.columns()`` with the widths delta_q and delta_p times sqrt(hbar), as measured."""
     cols = traj.columns()
+    scale = math.sqrt(hbar)
+    for name in ("delta_q", "delta_p"):
+        cols[name] = scale * cols[name]
+    return cols
+
+
+def _observe_trajectory(traj: Trajectory, config, with_intensity: bool):
+    hbar = config.constants.hbar
+    cols = _physical_columns(traj, hbar)
     intensity = x = None
     if with_intensity:
         x = config.grid_spec().positions()
-        hbar = config.constants.hbar
         # renormalized |psi|^2 of the ansatz in closed form (norm-independent),
         # sqrt(Im B / (pi hbar)) exp(-Im B (x - q)^2 / hbar), one row per sample
         im_b, u = traj.im_b[:, None], x - traj.q[:, None]
@@ -374,8 +383,8 @@ def filter_experiment(config: FilterConfig, out_dir: str | None = None) -> Filte
     ]
     zs, dz = trajectories[0].z, trajectories[0].dz
     centers = np.array([t.q for t in trajectories])
-    scale = math.sqrt(config.constants.hbar)
-    beam_widths = np.array([scale * t.columns()["delta_q"] for t in trajectories])
+    hbar = config.constants.hbar
+    beam_widths = np.array([_physical_columns(t, hbar)["delta_q"] for t in trajectories])
     del trajectories  # freed before the pair arrays, which take as much memory again
 
     # every pair (a[k], b[k]) at once, in the order of itertools.combinations

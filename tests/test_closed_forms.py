@@ -222,10 +222,11 @@ class TestCenterEvolution:
                 # a plain oscillation, the momentum shifted by gamma / omega
                 q = 1.2 * math.cos(omega * z) + ((-0.3 + 0.8 / omega) / omega) * math.sin(omega * z)
                 assert sol.q(z) == pytest.approx(q, abs=1e-12)
-        # at omega = 1 the coefficients are q0 and p0 + gamma
+        # at omega = 1 the coefficients a, b of cos z and sin z are q0 and p0 + gamma;
+        # the e^{iz} coefficient is (a - i b) / 2
         sol = center_solution(1.2, -0.3, 1j, 0.8, 1.0)
-        assert sol.a_coeff == pytest.approx(1.2)
-        assert sol.b_coeff == pytest.approx(-0.3 + 0.8)
+        assert 2 * sol.coeffs[3].real == pytest.approx(1.2)
+        assert -2 * sol.coeffs[3].imag == pytest.approx(-0.3 + 0.8)
 
     def test_initial_conditions(self):
         rng = np.random.default_rng(7)

@@ -362,6 +362,36 @@ class TestRunScenario:
         assert float(last[1]) == cols["q"][-1]
         assert float(last[5]) == cols["norm"][-1]
 
+    def test_csv_widths_are_physical(self, tmp_path):
+        # the trajectory CSVs scale the hbar = 1 widths of Trajectory.columns()
+        # by sqrt(hbar); the grid measures its delta_q from |psi|^2
+        hbar, b0 = 0.25, 0.3 + 1j
+        tables = {}
+        for other in ("grid", "oracle"):
+            cfg = small_config(
+                initial=InitialBeam(q0=0.5, p0=0.0, b0=b0), propagators=("gaussian", other),
+                z_max=0.1, constants=PhysicalConstants(hbar=hbar),
+            )
+            run_scenario(cfg, out_dir=str(tmp_path / other))
+            for path in (tmp_path / other).glob("*_*.csv"):
+                header, *rows = path.read_text().splitlines()
+                columns = np.array([row.split(",") for row in rows], dtype=float).T
+                tables[other, path.stem] = dict(zip(header.split(","), columns))
+        gaussian = tables["grid", "gaussian_trajectory"]
+        grid = tables["grid", "grid_observables"]
+        assert gaussian["delta_q"][0] == pytest.approx(grid["delta_q"][0], rel=1e-6)
+        assert gaussian["delta_p"][0] == pytest.approx(
+            math.sqrt(hbar) * abs(b0) / math.sqrt(2 * b0.imag), rel=1e-15
+        )
+        for name in ("gaussian_trajectory", "oracle_trajectory"):
+            table = tables["oracle", name]
+            root = np.sqrt(2 * table["im_b"])
+            assert np.allclose(table["delta_q"], np.sqrt(hbar) / root, rtol=1e-15, atol=0)
+            assert np.allclose(
+                table["delta_p"], np.sqrt(hbar) * np.hypot(table["re_b"], table["im_b"]) / root,
+                rtol=1e-15, atol=0,
+            )
+
 
 class TestScenarioLibrary:
     def test_pinned_entries(self):
