@@ -305,7 +305,8 @@ def reconstruct_wavefunction(
         psi(x) = N (Im B / (pi hbar))^(1/4) exp(i (B/2 (x-q)^2 + p (x-q) + alpha) / hbar)
 
     Warns (NarrowGridWarning) if either grid edge is closer than six beam
-    widths sqrt(hbar / (2 Im B)) to the center.
+    widths sqrt(hbar / (2 Im B)) to the center, or the center lies off the
+    grid [-half_width, half_width).
     """
     _require_width(params.b)
     hbar = constants.hbar
@@ -314,7 +315,10 @@ def reconstruct_wavefunction(
     if edge_distance < 6.0 * delta_q:
         warnings.warn(
             f"grid edge only {edge_distance:.3g} from beam center "
-            f"(< 6 delta_q = {6.0 * delta_q:.3g}); tails will be truncated",
+            f"(< 6 delta_q = {6.0 * delta_q:.3g}); tails will be truncated"
+            if -grid.half_width <= params.q < grid.half_width else
+            f"beam center {params.q:.3g} lies outside the grid [-half_width, half_width), "
+            f"half_width = {grid.half_width:.3g}",
             NarrowGridWarning,
             stacklevel=2,
         )

@@ -146,17 +146,22 @@ def _geometry(spec: GridSpec):
 
 
 def _measure(psi, x, k, dx, edge_mask, hbar):
-    """(|psi|^2, its integral, the GridObservables fields or None if it is not positive)."""
+    """(|psi|^2, its integral, the GridObservables fields or None).
+
+    None unless 0 < mass < inf and all five fields are finite: the one rule
+    for a field that can be sampled.
+    """
     density = np.abs(psi) ** 2
     mass = float(density.sum() * dx)
-    if mass <= 0.0:
+    if not 0.0 < mass < math.inf:
         return density, mass, None
     mean_q = float((x * density).sum() * dx / mass)
     mean_x2 = float((x * x * density).sum() * dx / mass)
     delta_q = math.sqrt(max(mean_x2 - mean_q * mean_q, 0.0))
     mean_p = float(hbar * (k * np.abs(np.fft.fft(psi)) ** 2).sum() * dx / (len(psi) * mass))
     edge = float(density[edge_mask].sum() * dx / mass)
-    return density, mass, (math.sqrt(mass), mean_q, mean_p, delta_q, edge)
+    moments = (math.sqrt(mass), mean_q, mean_p, delta_q, edge)
+    return density, mass, moments if all(map(math.isfinite, moments)) else None
 
 
 def observables(state: GridState, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> GridObservables:
@@ -167,16 +172,17 @@ def observables(state: GridState, constants: PhysicalConstants = DEFAULT_CONSTAN
     """
     _, _, moments = _measure(state.amplitudes, *_geometry(state.spec), constants.hbar)
     if moments is None:
-        raise ValueError("cannot compute observables of a zero-norm state")
+        raise ValueError("cannot compute observables of a zero-norm or non-finite state")
     return GridObservables(*moments)
 
 
 def renormalized_intensity(state: GridState) -> np.ndarray:
     """|psi|^2 scaled to integrate to one; the quantity shown in heatmaps."""
-    density = np.abs(state.amplitudes) ** 2
-    mass = density.sum() * state.spec.spacing
-    if mass <= 0.0:
-        raise ValueError("cannot renormalize a zero-norm state")
+    # a ValueError for any state that observables rejects at the default hbar
+    geometry = _geometry(state.spec)
+    density, mass, moments = _measure(state.amplitudes, *geometry, DEFAULT_CONSTANTS.hbar)
+    if moments is None:
+        raise ValueError("cannot renormalize a zero-norm or non-finite state")
     return density / mass
 
 
@@ -236,9 +242,10 @@ def propagate(
     loop, bit for bit as :func:`observables` and
     :func:`renormalized_intensity` measure a field.
 
-    Raises ValueError if V or the initial field is non-finite on the grid
-    or the field puts no |psi|^2 on it, and NumericalAbortError if the
-    field becomes non-finite (gain overflow) or |psi|^2 vanishes (loss
+    A field is sampled only if its mass is positive and finite and all its
+    moments are finite, the rule of :func:`observables`. Raises ValueError
+    if V is non-finite on the grid or the initial field cannot be sampled,
+    and NumericalAbortError if a later field cannot (gain overflow or loss
     underflow); its ``partial`` holds the samples taken before. Samples
     with more than 1% of |psi|^2 in the outer 5% of the domain are
     counted, and one BoundaryContaminationWarning per call reports their
@@ -287,16 +294,16 @@ def propagate(
                 psi = np.empty(n, dtype=complex)
                 np.multiply(chi, half_potential, out=_rows(psi))
             density, mass, moments = _measure(psi, x, k, dx, edge_mask, constants.hbar)
-            finite = np.all(np.isfinite(psi.real) & np.isfinite(psi.imag))
-            if not step and (moments is None or not finite):
+            if not step and moments is None:
                 raise ValueError(
                     "the initial beam puts no |psi|^2 on the grid: initial.norm0 is too "
-                    "small or the beam lies outside [-half_width, half_width)" if finite else
+                    "small or the beam lies outside [-half_width, half_width)" if mass == 0.0 else
                     "the initial beam is non-finite on the grid: constants.hbar is too "
-                    "small for the beam's width, or the grid spans too far from its center"
+                    "small for the beam's width, initial.norm0 is too large, or the grid "
+                    "spans too far from its center"
                 )
-            # later, a non-finite field is gain overflow; no moments, loss underflow
-            if moments is None or not finite:
+            # later, a non-finite mass or moment is gain overflow; zero mass, loss underflow
+            if moments is None:
                 break
             table[:, taken] = (step * dz_eff, *moments)
             np.divide(density, mass, out=intensity[taken])

@@ -79,19 +79,18 @@ def write_csv(path, header, rows):
     atomic_write_text(path, chain([",".join(header) + "\n"], lines))
 
 
-# rows per task of the heatmap pool: a few, so few formatted blocks wait in this process
+# rows per task of the heatmap pool: a few share each task's overhead, and lines still stream
 _BLOCK_ROWS = 4
-_worker_rows = None  # (rows, width) in a heatmap pool worker, inherited through fork
 
 
 def write_heatmap_csv(path, x, zs, matrix):
     """Matrix of renormalized intensity: rows are z samples, columns grid points.
 
-    A pool of forked workers, one per usable CPU, inherits the rows and
-    formats them in blocks of a few; this process streams the blocks in
-    order into the target, so the bytes are those of a one-process write.
-    Where fork is missing, one CPU is usable or other threads are live, this
-    process formats every block. zs and every row are checked before any fork.
+    A pool of forked workers, one per usable CPU, formats the rows, a few
+    per task; this process streams the lines in order into the target, so
+    the bytes are those of a one-process write. Where fork is missing, one
+    CPU is usable or other threads are live, this process formats every
+    row. zs and every row are checked before any fork.
     """
     width = len(x) + 1
     header = "z," + next(_number_lines([x], len(x)))
@@ -99,43 +98,32 @@ def write_heatmap_csv(path, x, zs, matrix):
     for i, (_, row) in enumerate(rows):
         if len(row) + 1 != width:
             raise _length_error(i, len(row) + 1, width)
-    starts = range(0, len(rows), _BLOCK_ROWS)
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = min(len(os.sched_getaffinity(0)), len(starts))
+        workers = min(len(os.sched_getaffinity(0)), -(-len(rows) // _BLOCK_ROWS))
     if workers <= 1:
-        atomic_write_text(path, chain([header], (_block(rows, width, s) for s in starts)))
+        atomic_write_text(path, chain([header], map(_heatmap_line, rows)))
         return
     # only a write that forks needs these; `import gainbeam` does not load them
+    import signal
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                               initializer=_init_worker, initargs=(rows, width))
+    # an interrupt is the writer's to handle: it cancels the pool's work
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
     try:
-        atomic_write_text(path, chain([header], pool.map(_worker_block, starts)))
+        lines = pool.map(_heatmap_line, rows, chunksize=_BLOCK_ROWS)
+        atomic_write_text(path, chain([header], lines))
     finally:
-        # after a failure, the blocks not yet started are dropped, not formatted
+        # after a failure, the rows not yet started are dropped, not formatted
         pool.shutdown(cancel_futures=True)
 
 
-def _block(rows, width: int, start: int) -> str:
-    """The CSV lines of rows [start, start + _BLOCK_ROWS), each z followed by its row."""
-    block = rows[start:start + _BLOCK_ROWS]
-    return "".join(_number_lines(((z, *row.tolist()) for z, row in block), width))
-
-
-def _init_worker(rows, width: int):
-    # an interrupt is the writer's to handle: it cancels the pool's work
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _worker_rows
-    _worker_rows = rows, width
-
-
-def _worker_block(start: int) -> str:
-    return _block(*_worker_rows, start)
+def _heatmap_line(pair) -> str:
+    """The CSV line of one heatmap row: its z, then its intensities."""
+    z, row = pair
+    return next(_number_lines([(z, *row.tolist())], len(row) + 1))
 
 
 def _flatten(prefix: str, value, out: list):

@@ -148,8 +148,9 @@ class TestRun:
               "propagators": ["gaussian", "grid", "oracle"]}, EXIT_NUMERIC),
             ({"potential": {"kind": "quadratic_linear", "omega": 1.0, "gamma": -1e154},
               "propagators": ["gaussian", "grid", "oracle"]}, EXIT_NUMERIC),
+            # psi is finite, but |psi|^2 overflows on the grid
             ({"initial": {"q0": 0.5, "p0": 0.0, "b0": [0.0, 1.0], "norm0": 1e154},
-              "propagators": ["gaussian", "grid"]}, EXIT_OK),
+              "propagators": ["gaussian", "grid"]}, EXIT_CONFIG),
             ({"potential": {"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1e154,
                             "eta": 5.0}}, EXIT_OK),
             ({"potential": {"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1.0,

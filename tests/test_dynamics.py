@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -449,3 +450,11 @@ class TestReconstruct:
         grid = GridSpec(8.0, 512)
         with pytest.warns(NarrowGridWarning):
             reconstruct_wavefunction(GaussianParams(6.0, 0.0, 0.1j), grid)
+
+    def test_center_off_the_grid_warns(self):
+        with pytest.warns(NarrowGridWarning) as caught:
+            reconstruct_wavefunction(GaussianParams(1e3, 0.0, 1j), GridSpec(8.0, 256))
+        message = str(caught[0].message)
+        # it names the grid, not a negative distance from its edge
+        assert "outside the grid" in message
+        assert re.search(r"-\d", message) is None

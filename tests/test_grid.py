@@ -76,6 +76,16 @@ class TestObservables:
         with pytest.raises(ValueError):
             observables(GridState(spec, np.zeros(256, dtype=complex)))
 
+    @pytest.mark.parametrize("measure", [observables, renormalized_intensity])
+    def test_overflowing_intensity_rejected(self, measure):
+        # the field is finite, but |psi|^2 = 1e320 overflows: no norm, no moments
+        field = np.zeros(256, dtype=complex)
+        field[128] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite"):
+                measure(GridState(GridSpec(8.0, 256), field))
+
 
 class TestRenormalizedIntensity:
     def test_integrates_to_one(self):
@@ -251,6 +261,26 @@ class TestPropagate:
         last = observables(partial.final)
         assert (partial.norm[-1], partial.mean_q[-1]) == (last.norm, last.mean_q)
         assert np.array_equal(partial.intensity[-1], renormalized_intensity(partial.final))
+
+    @pytest.mark.parametrize("z_max", [4.0, 60.0])
+    def test_every_kept_sample_is_finite(self, z_max):
+        # a linear gain of 10 holds the beam near x = 9 and raises |psi|^2 by
+        # about e^180 per unit z: from z = 5 it overflows while psi is finite,
+        # so the run ends there with the five samples before
+        psi0 = reconstruct_wavefunction(GaussianParams(2.0, 0.0, 1j), GridSpec(10.0, 256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContaminationWarning)
+            if z_max < 5.0:
+                run = propagate(psi0, QuadraticLinear(1.0, 10.0), z_max, dz=1e-2, sample_stride=100)
+            else:
+                with pytest.raises(NumericalAbortError) as err:
+                    propagate(psi0, QuadraticLinear(1.0, 10.0), z_max, dz=1e-2, sample_stride=100)
+                assert err.value.z == 5.0
+                run = err.value.partial
+        assert run.z.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        for column in (run.norm, run.mean_q, run.mean_p, run.delta_q, run.edge_mass,
+                       run.intensity, run.final.amplitudes):
+            assert np.all(np.isfinite(column))
 
     def test_underflow_aborts_with_z(self):
         # a uniform loss shrinks |psi|^2 by exp(-2000 dz) per step: a faint

@@ -314,6 +314,16 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="non-finite on the grid: constants.hbar"):
             run_scenario(cfg)
 
+    def test_overflowing_initial_intensity_is_config_error(self):
+        # psi peaks near 1e160, which is finite, but |psi|^2 overflows
+        cfg = small_config(
+            potential={"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1.0, "eta": 5.0},
+            initial=InitialBeam(q0=0.0, p0=-1.0, b0=1j, norm0=1e160),
+            propagators=("gaussian", "grid"),
+        )
+        with pytest.raises(ConfigError, match="initial.norm0 is too large"):
+            run_scenario(cfg)
+
     def test_outputs_written(self, tmp_path):
         import os
 

@@ -13,6 +13,9 @@ written out by hand.
 Every module-level private function, class or constant in ``src/gainbeam``
 is read by some module there, so a helper whose last caller is deleted
 goes with it.
+
+No module in ``src/gainbeam`` has a ``global`` statement: state that a
+function sets goes to its callers, or to worker processes, as arguments.
 """
 
 import ast
@@ -160,3 +163,24 @@ def test_the_check_finds_a_dead_helper():
     )
     b = "from . import a\nfrom .a import _shared\n\ndef g():\n    return a._as_attribute()\n"
     assert dead_helpers([a, b]) == ["_Orphan", "_UNUSED", "_recursive"]
+
+
+def global_statements(source: str) -> list:
+    """Line numbers of the ``global`` statements in ``source``, at any depth."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Global))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_global_statement(path):
+    assert global_statements(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_global_statement():
+    source = (
+        "_state = None\n"
+        "def setup(x):\n    global _state\n    _state = x\n"
+        "class C:\n    def m(self):\n        def inner():\n            global _state, _other\n"
+        "def outer():\n    n = 0\n    def bump():\n        nonlocal n\n"
+        "# global _state\n"
+    )
+    assert global_statements(source) == [3, 8]
