@@ -90,7 +90,10 @@ def _observe_trajectory(traj: Trajectory, config, with_intensity: bool):
         with np.errstate(over="ignore"):
             intensity = -im_b * u * u / hbar
             np.exp(intensity, out=intensity)
-            intensity *= np.sqrt(im_b / (math.pi * hbar))
+            # Im B / (pi hbar) can overflow where its root, below 3e238, does not
+            peak = np.sqrt(im_b / (math.pi * hbar))
+            peak = np.where(np.isfinite(peak), peak, np.sqrt(im_b / math.pi) / math.sqrt(hbar))
+            intensity *= peak
     series = ObservableSeries(cols["z"], cols["q"], cols["norm"], intensity, x)
     return series, TRAJECTORY_COLUMNS, np.column_stack([cols[c] for c in TRAJECTORY_COLUMNS])
 

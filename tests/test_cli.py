@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import tempfile
@@ -177,6 +178,31 @@ class TestRun:
             assert stderr.startswith("config error:") and stderr.count("\n") == 1
         else:
             assert stderr == ""
+
+    def test_overflowing_peak_gives_finite_heatmap_row(self, tmp_path):
+        # Im B / (pi hbar) = 3e309 overflows; its root, the z = 0 peak, does not
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            potential={"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1.0, "eta": 5.0},
+            initial={"q0": 0.0, "p0": 0.0, "b0": [0.0, 1e10]},
+            constants={"hbar": 1e-300},
+            propagators=["gaussian"],
+            heatmap=True,
+            z_max=0.01,
+            grid={"half_width": 20.0, "n_points": 256, "dz": 1e-3},
+        )
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # Im B collapses at z = 0.0005
+            assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_NUMERIC
+        lines = (out / "gaussian_heatmap.csv").read_text().splitlines()
+        x = [float(c) for c in lines[0].split(",")[1:]]
+        row = [float(c) for c in lines[1].split(",")]
+        assert row[0] == 0.0 and len(row) == 257
+        peak = x.index(0.0) + 1
+        assert row[peak] == pytest.approx(math.sqrt(1e10 / math.pi) / 1e-150, rel=1e-15)
+        assert row[1:peak] + row[peak + 1:] == [0.0] * 255
 
     def test_width_collapse_exits_numeric(self, tmp_path, capsys):
         cfg = write_config(

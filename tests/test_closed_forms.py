@@ -442,9 +442,9 @@ class TestQuadraticTrajectory:
         assert out.stdout.strip() == "False"
 
     def test_import_leaves_out_unused_modules(self):
-        # the heatmap writer imports its process pool only when it forks, and
-        # mpmath, scipy and hypothesis serve the tests only: gainbeam takes no
-        # dependency on them
+        # gainbeam starts no process or thread (tests/test_source.py rejects
+        # the imports at any depth), and mpmath, scipy and hypothesis serve
+        # the tests only: gainbeam takes no dependency on them
         src = os.path.dirname(os.path.dirname(gainbeam.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         names = ["signal", "multiprocessing", "concurrent.futures", "mpmath", "scipy", "hypothesis"]

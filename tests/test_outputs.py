@@ -2,13 +2,13 @@
 
 import math
 import os
-import signal
 import threading
-import time
-from concurrent.futures.process import BrokenProcessPool
+from itertools import starmap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gainbeam import outputs
 from gainbeam.config import FilterConfig
@@ -106,174 +106,132 @@ def test_rejected_write_leaves_target_alone(tmp_path, write, error, match):
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
-def use_cpus(monkeypatch, n):
-    """Make ``n`` CPUs usable to the writer and count its forks."""
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
+def reference(row) -> str:
+    """One CSV line as Python's %-formatting writes it, the bytes every writer must match."""
+    return ",".join("%.17g" % v for v in row) + "\n"
 
 
-def assert_nothing_left(directory, name):
-    """Only ``name`` is in ``directory``, and no thread or child process outlived the write."""
-    assert os.listdir(directory) == [name]
-    assert threading.active_count() == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def formatted(rows, width) -> str:
+    """The text the writers stream for ``rows``, block by block."""
+    return "".join(starmap(outputs._csv_text, outputs._chunks(rows, width)))
+
+
+def test_random_bit_patterns_match_python():
+    # every float64: signs, subnormals, both extremes of the exponent, inf and nan
+    bits = np.random.default_rng(7).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+    table = bits.view(np.float64).reshape(-1, 8)
+    assert formatted(table, 8) == "".join(map(reference, table.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([1000000000000000.25, 1000000000000000.75, -0.0, math.nan])
+def test_any_floats_match_python(values):
+    assert formatted([values], len(values)) == reference(values)
+
+
+def neighbours(v):
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+BOUNDARY = [
+    0.0, math.inf, math.nan, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308,
+    # the switches between fixed and exponent form, at 1e-4 and 1e17
+    *neighbours(1e-4), *neighbours(1e-5), *neighbours(1e16), *neighbours(1e17),
+    # doubles just below a power of ten: those of 1e-305, 1e-14 and 1e98 round
+    # up into it at 17 digits, carrying out of the 17th
+    9.999999999999999e22, 1e-305, 1e-14, 1e98, 1e220,
+    # exact ties at the 18th digit, which round to even
+    1000000000000000.25, 1000000000000000.75, 1000000000000001.25, 0.5, 2.5,
+    *(float(2**53 + d) for d in range(-4, 5)), float(2**54 + 2), float(2**63),
+    *(v for k in range(-323, 309) for v in neighbours(float(10**k) if k >= 0 else 1 / 10**-k)),
+]
+
+
+def test_boundary_values_match_python():
+    values = BOUNDARY + [-v for v in BOUNDARY]
+    # one column, and rows of 7 that mix fixed and exponent forms
+    assert formatted([[v] for v in values], 1) == "".join(reference([v]) for v in values)
+    rows = [values[i:i + 7] for i in range(0, len(values) - 6, 7)]
+    assert formatted(rows, 7) == "".join(map(reference, rows))
+
+
+def test_cell_types_match_python(tmp_path):
+    row = (7, True, False, np.int64(-3), np.float32(0.1), 2**70, np.uint64(2**64 - 1), -5)
+    path = tmp_path / "t.csv"
+    rows = [row, np.array(row[:4] * 2), np.float32([0.1] * 8)]
+    write_csv(path, ["c"] * len(row), rows)
+    assert read_lines(path)[1:] == [reference(r)[:-1] for r in rows]
+
+
+@pytest.mark.parametrize("cell", ["1.5", 1j, None], ids=["str", "complex", "None"])
+def test_cells_that_are_no_real_numbers_raise(tmp_path, cell):
+    with pytest.raises(TypeError) as raised:
+        "%.17g" % cell
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old,bytes\n")
+    with pytest.raises(TypeError, match=str(raised.value)):
+        write_csv(path, ("a", "b"), [(1.0, 2.0), (1.0, cell)])
+    assert path.read_bytes() == b"old,bytes\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 9, 301])
-def test_heatmap_blocks_match_one_block(tmp_path, monkeypatch, rows):
-    x = np.array(VALUES, dtype=float)
+def test_heatmap_chunks_match_python(tmp_path, rows):
+    # 4097 cells a row, two chunks each, and every row starts with VALUES
+    rng = np.random.default_rng(rows)
+    x = np.linspace(-20.0, 20.0, 4096, endpoint=False)
     zs = np.linspace(0.0, 3.0, rows)
-    matrix = np.random.default_rng(rows).random((rows, x.size)) * x
+    matrix = rng.random((rows, x.size)) * np.exp(-800.0 * rng.random((rows, x.size)))
+    matrix[:, :len(VALUES)] = np.array(VALUES, dtype=float)
     path = tmp_path / "h.csv"
-    use_cpus(monkeypatch, 1)
     write_heatmap_csv(path, x, zs, matrix)
-    one_block = path.read_bytes()
-    blocks = -(-rows // outputs._BLOCK_ROWS)
-    for cpus in (2, 3, 8):
-        forks = use_cpus(monkeypatch, cpus)
-        path.write_bytes(b"")
-        write_heatmap_csv(path, x, zs, matrix)
-        assert path.read_bytes() == one_block
-        # one worker per CPU, but no more than there are blocks, and no pool for one block
-        workers = min(cpus, blocks)
-        assert len(forks) == (workers if workers > 1 else 0)
-    assert_nothing_left(tmp_path, "h.csv")
+    lines = [reference([z, *row]) for z, row in zip(zs, matrix.tolist())]
+    assert path.read_text() == "z," + reference(x) + "".join(lines)
 
 
-def test_every_write_fans_out(tmp_path, monkeypatch):
-    matrix = np.random.default_rng(0).random((12, 64))
-    forks = use_cpus(monkeypatch, 2)
-    for k in (1, 2):
-        write_heatmap_csv(tmp_path / "h.csv", np.zeros(64), np.arange(12.0), matrix)
-        assert len(forks) == 2 * k
-        assert_nothing_left(tmp_path, "h.csv")
+def fail_in_second_chunk(monkeypatch, error, calls_before):
+    """Make the formatter raise ``error`` on the second chunk after ``calls_before`` others."""
+    chunks = []
+    csv_text = outputs._csv_text
+
+    def second_chunk_fails(cells, last):
+        chunks.append(len(cells))
+        if len(chunks) == calls_before + 2:
+            raise error
+        return csv_text(cells, last)
+
+    monkeypatch.setattr(outputs, "_csv_text", second_chunk_fails)
+    return chunks
 
 
-class PoisonedRows(np.ndarray):
-    """A matrix whose rows starting with -1 go to ``poison`` from tolist, where they are formatted."""
-
-    @staticmethod
-    def poison(row):
-        pass
-
-    def tolist(self):
-        if self.ndim == 1 and self[0] == -1.0:
-            self.poison(self)
-        return super().tolist()
-
-
-def poisoned(row):
-    """Twelve rows, three blocks, with ``row`` poisoned."""
-    matrix = np.ones((12, 512))
-    matrix[row, 0] = -1.0
-    return matrix.view(PoisonedRows)
-
-
-def raise_(exc):
-    raise exc
-
-
-def assert_in_worker(writer_pid):
-    # a poison that signals or kills its own process must never run in pytest's
-    assert os.getpid() != writer_pid, "the block was formatted in the writer's process"
-
-
-def signal_writer(writer_pid, signum):
-    """A poison that sends ``signum`` to the writer, then holds its block back a second."""
-    assert_in_worker(writer_pid)
-    os.kill(writer_pid, signum)
-    time.sleep(1.0)
-
-
-@pytest.mark.parametrize(
-    "row, poison, error, match",
-    [
-        (0, lambda pid: raise_(RuntimeError("poisoned row")), RuntimeError, "poisoned row"),
-        (11, lambda pid: raise_(RuntimeError("poisoned row")), RuntimeError, "poisoned row"),
-        (5, lambda pid: signal_writer(pid, signal.SIGINT), KeyboardInterrupt, None),
-        (5, lambda pid: signal_writer(pid, signal.SIGUSR1), RuntimeError, "writer failed"),
-    ],
-    ids=["first_block_raises", "last_block_raises", "writer_interrupted", "writer_raises"],
-)
-def test_failed_block_leaves_target_alone(tmp_path, monkeypatch, row, poison, error, match):
+@pytest.mark.parametrize("error", [RuntimeError("chunk failed"), KeyboardInterrupt()],
+                         ids=["raises", "interrupted"])
+@pytest.mark.parametrize("heatmap", [False, True], ids=["csv", "heatmap"])
+def test_failure_in_second_chunk_leaves_target_alone(tmp_path, monkeypatch, error, heatmap):
     path = tmp_path / "t.csv"
     path.write_bytes(b"old,bytes\n")
-    pid = os.getpid()
-    monkeypatch.setattr(PoisonedRows, "poison", staticmethod(lambda row: poison(pid)))
-    forks = use_cpus(monkeypatch, 2)
-    old = signal.signal(signal.SIGUSR1, lambda *_: raise_(RuntimeError("writer failed")))
-    try:
-        with pytest.raises(error, match=match):
-            write_heatmap_csv(path, np.zeros(512), np.arange(12.0), poisoned(row))
-    finally:
-        signal.signal(signal.SIGUSR1, old)
-    assert len(forks) == 2
+    # the heatmap's header is formatted first, in two chunks, then each row in two
+    chunks = fail_in_second_chunk(monkeypatch, error, calls_before=2 * heatmap)
+    with pytest.raises(type(error)):
+        if heatmap:
+            write_heatmap_csv(path, np.zeros(4096), np.arange(20.0), np.ones((20, 4096)))
+        else:
+            write_csv(path, ("a", "b"), np.ones((40000, 2)))
+    assert chunks == ([2048, 2048, 2049, 2048] if heatmap else [2560, 2560])
     assert path.read_bytes() == b"old,bytes\n"
-    assert_nothing_left(tmp_path, "t.csv")
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
-def test_failure_drops_the_blocks_not_started(tmp_path, monkeypatch):
-    # 40 blocks whose rows each take 50 ms, and the first block raises at once
-    log = tmp_path / "formatted"
-    os.mkdir(log)
-    matrix = np.ones((40 * outputs._BLOCK_ROWS, 512))
-    matrix[:, 0] = -1.0
-    matrix[:, 1] = np.arange(len(matrix))
+def test_writes_fork_no_process_and_start_no_thread(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("the writer forked")
 
-    def slow_row(row):
-        if row[1] == 0:
-            raise RuntimeError("poisoned row")
-        (log / str(int(row[1]))).touch()
-        time.sleep(0.05)
-
-    monkeypatch.setattr(PoisonedRows, "poison", staticmethod(slow_row))
-    use_cpus(monkeypatch, 2)
-    path = tmp_path / "t.csv"
-    with pytest.raises(RuntimeError, match="poisoned row"):
-        write_heatmap_csv(path, np.zeros(512), np.arange(len(matrix)), matrix.view(PoisonedRows))
-    # the blocks running or queued when it failed may finish; the rest are cancelled
-    assert len(os.listdir(log)) <= 10 * outputs._BLOCK_ROWS
-    assert not path.exists()
-
-
-def test_killed_worker_is_an_error(tmp_path, monkeypatch):
-    path = tmp_path / "t.csv"
-    path.write_bytes(b"old,bytes\n")
-    pid = os.getpid()
-
-    def kill_worker(row):
-        assert_in_worker(pid)
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(PoisonedRows, "poison", staticmethod(kill_worker))
-    use_cpus(monkeypatch, 2)
-    with pytest.raises(BrokenProcessPool):
-        write_heatmap_csv(path, np.zeros(512), np.arange(12.0), poisoned(11))
-    assert path.read_bytes() == b"old,bytes\n"
-    assert_nothing_left(tmp_path, "t.csv")
-
-
-def test_workers_ignore_interrupts(tmp_path, monkeypatch):
-    # a terminal's Ctrl-C reaches the whole process group; the writer alone acts on it
-    pid = os.getpid()
-
-    def interrupt_worker(row):
-        assert_in_worker(pid)
-        os.kill(os.getpid(), signal.SIGINT)
-
-    matrix = poisoned(11)
-    path = tmp_path / "h.csv"
-    write_heatmap_csv(path, np.zeros(512), np.arange(12.0), matrix)
-    one_block = path.read_bytes()
-    monkeypatch.setattr(PoisonedRows, "poison", staticmethod(interrupt_worker))
-    use_cpus(monkeypatch, 2)
-    try:
-        write_heatmap_csv(path, np.zeros(512), np.arange(12.0), matrix)
-    except KeyboardInterrupt:
-        pytest.fail("an interrupted worker stopped the write")
-    assert path.read_bytes() == one_block
-    assert_nothing_left(tmp_path, "h.csv")
+    monkeypatch.setattr(os, "fork", no_fork)
+    threads = threading.active_count()
+    matrix = np.random.default_rng(0).random((301, 4096))
+    write_heatmap_csv(tmp_path / "h.csv", np.zeros(4096), np.arange(301.0), matrix)
+    write_csv(tmp_path / "t.csv", ("a", "b"), matrix[:, :2])
+    assert threading.active_count() == threads
+    assert len(read_lines(tmp_path / "h.csv")) == 302

@@ -15,7 +15,12 @@ is read by some module there, so a helper whose last caller is deleted
 goes with it.
 
 No module in ``src/gainbeam`` has a ``global`` statement: state that a
-function sets goes to its callers, or to worker processes, as arguments.
+function sets goes to its callers as arguments.
+
+No module in ``src/gainbeam`` imports process or thread machinery
+(``multiprocessing``, ``concurrent.futures``, ``signal``, ``threading``,
+``subprocess``), at any depth: gainbeam runs in the caller's one process
+and thread.
 """
 
 import ast
@@ -184,3 +189,46 @@ def test_the_check_finds_a_global_statement():
         "# global _state\n"
     )
     assert global_statements(source) == [3, 8]
+
+
+PROCESS_MODULES = ("multiprocessing", "concurrent.futures", "signal", "threading", "subprocess")
+
+
+def process_imports(source: str) -> list:
+    """(line, module) of each import of process or thread machinery in ``source``, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.extend(
+            (node.lineno, name) for name in names
+            if any(name == m or name.startswith(m + ".") for m in PROCESS_MODULES)
+        )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_or_thread_imports(path):
+    assert process_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_process_import():
+    source = (
+        "import os, threading\n"
+        "from concurrent import futures\n"
+        "import concurrent\n"
+        "from . import signal\n"
+        "def write():\n    from multiprocessing.pool import Pool\n"
+        "    import subprocess as sp\n"
+        "class C:\n    def m(self):\n        from signal import SIGINT\n"
+        "import signals\n"
+        "# import multiprocessing\n"
+    )
+    assert process_imports(source) == [
+        (1, "threading"), (2, "concurrent.futures"), (6, "multiprocessing.pool"),
+        (6, "multiprocessing.pool.Pool"), (7, "subprocess"), (10, "signal"), (10, "signal.SIGINT"),
+    ]
