@@ -124,7 +124,7 @@ class GridObservables:
 
 @dataclass
 class GridRun:
-    """Samples of a run: a column per observable, an intensity row each, the last field."""
+    """Samples of a run: a column per observable, an intensity row each or None, the last field."""
 
     z: np.ndarray
     norm: np.ndarray
@@ -132,7 +132,7 @@ class GridRun:
     mean_p: np.ndarray
     delta_q: np.ndarray
     edge_mass: np.ndarray
-    intensity: np.ndarray
+    intensity: np.ndarray | None
     final: GridState
 
     def __len__(self) -> int:
@@ -234,13 +234,16 @@ def propagate(
     dz: float = 1e-3,
     sample_stride: int = 1,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
+    intensity: bool = True,
 ) -> GridRun:
     """Propagate a grid state to z_max, returning the samples as a GridRun.
 
     Samples follow :func:`schedule`: the first is the initial state at
     z = 0 and the last lands exactly on z_max. Each is measured in the
     loop, bit for bit as :func:`observables` and
-    :func:`renormalized_intensity` measure a field.
+    :func:`renormalized_intensity` measure a field. With ``intensity``
+    false no (samples x points) matrix is allocated and the run's
+    ``intensity`` is None; the columns are the same.
 
     A field is sampled only if its mass is positive and finite and all its
     moments are finite, the rule of :func:`observables`. Raises ValueError
@@ -258,7 +261,7 @@ def propagate(
     x, k, dx, edge_mask = _geometry(spec)
     # rows z, norm, mean_q, mean_p, delta_q, edge_mass; a column per sample
     table = np.empty((6, len(sample_steps)))
-    intensity = np.empty((len(sample_steps), n))
+    matrix = np.empty((len(sample_steps), n)) if intensity else None
     psi, final = initial.amplitudes, initial
     taken = 0
     # chi is the field between the half potential steps, held as its even
@@ -306,11 +309,12 @@ def propagate(
             if moments is None:
                 break
             table[:, taken] = (step * dz_eff, *moments)
-            np.divide(density, mass, out=intensity[taken])
+            if matrix is not None:
+                np.divide(density, mass, out=matrix[taken])
             final = GridState(spec, psi, step * dz_eff)
             taken += 1
             np.multiply(_rows(psi), half_potential, out=chi)
-    run = GridRun(*table[:, :taken], intensity[:taken], final)
+    run = GridRun(*table[:, :taken], None if matrix is None else matrix[:taken], final)
     flagged = np.flatnonzero(run.edge_mass > EDGE_MASS_LIMIT)
     if len(flagged):
         warnings.warn(

@@ -14,8 +14,8 @@ CSV files plus a manifest that can reconstruct the configuration exactly.
 
 import math
 import os
-from dataclasses import asdict, dataclass, replace
-from itertools import combinations
+from dataclasses import asdict, dataclass
+from itertools import chain, combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,25 +47,42 @@ TRAJECTORY_COLUMNS = ("z", "q", "p", "re_b", "im_b", "norm", "alpha", "delta_q",
 GRID_COLUMNS = ("z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass")
 
 
-@dataclass
-class ObservableSeries:
-    """Beam observables on a set of z samples, from any propagator."""
+# rows of an intensity formed at once where they are read: 512 KiB at 4096 points
+_BLOCK_ROWS = 16
 
-    z: np.ndarray
-    mean_q: np.ndarray
-    norm: np.ndarray
-    intensity: np.ndarray | None = None
-    x: np.ndarray | None = None
+
+def _blocks(n: int):
+    """Slices that cut n rows into blocks of ``_BLOCK_ROWS``."""
+    return (slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS))
+
+
+class ObservableSeries:
+    """Beam observables on a set of z samples, from any propagator.
+
+    ``intensity`` is a row source: a function from a row selection (a slice
+    or an index array) to those rows of the renormalized intensity on the
+    positions ``x``, or None. The Gaussian's forms its rows from q and Im B,
+    the grid's reads the run's matrix. The ``intensity`` attribute forms
+    all rows on each read.
+    """
+
+    def __init__(self, z, mean_q, norm, intensity: Callable | None = None, x=None):
+        self.z, self.mean_q, self.norm, self.x = z, mean_q, norm, x
+        self.rows = intensity
+
+    @property
+    def intensity(self) -> np.ndarray | None:
+        return None if self.rows is None else self.rows(slice(None))
 
     def restricted(self, indices) -> "ObservableSeries":
-        # indices are increasing and distinct, so all of them is the series
-        # itself, whose arrays are then read in place rather than copied
+        # indices are increasing and distinct, so all of them is the series itself
         if len(indices) == len(self.z):
             return self
-        return replace(self, **{
-            name: value[indices] for name, value in vars(self).items()
-            if name != "x" and value is not None
-        })
+        indices = np.asarray(indices, dtype=np.intp)
+        return ObservableSeries(
+            self.z[indices], self.mean_q[indices], self.norm[indices],
+            None if self.rows is None else lambda sel: self.rows(indices[sel]), self.x,
+        )
 
 
 def _physical_columns(traj: Trajectory, hbar: float) -> dict:
@@ -80,12 +97,12 @@ def _physical_columns(traj: Trajectory, hbar: float) -> dict:
 def _observe_trajectory(traj: Trajectory, config, with_intensity: bool):
     hbar = config.constants.hbar
     cols = _physical_columns(traj, hbar)
-    intensity = x = None
-    if with_intensity:
-        x = config.grid_spec().positions()
+    x = config.grid_spec().positions() if with_intensity else None
+
+    def rows(sel):
         # renormalized |psi|^2 of the ansatz in closed form (norm-independent),
         # sqrt(Im B / (pi hbar)) exp(-Im B (x - q)^2 / hbar), one row per sample
-        im_b, u = traj.im_b[:, None], x - traj.q[:, None]
+        im_b, u = traj.im_b[sel, None], x - traj.q[sel, None]
         # a grid far wider than the beam overflows the exponent to -inf: intensity 0
         with np.errstate(over="ignore"):
             intensity = -im_b * u * u / hbar
@@ -94,14 +111,18 @@ def _observe_trajectory(traj: Trajectory, config, with_intensity: bool):
             peak = np.sqrt(im_b / (math.pi * hbar))
             peak = np.where(np.isfinite(peak), peak, np.sqrt(im_b / math.pi) / math.sqrt(hbar))
             intensity *= peak
-    series = ObservableSeries(cols["z"], cols["q"], cols["norm"], intensity, x)
+        return intensity
+
+    series = ObservableSeries(
+        cols["z"], cols["q"], cols["norm"], rows if with_intensity else None, x
+    )
     return series, TRAJECTORY_COLUMNS, np.column_stack([cols[c] for c in TRAJECTORY_COLUMNS])
 
 
 def _observe_grid(run: GridRun, config, with_intensity: bool):
     series = ObservableSeries(
         run.z, run.mean_q, run.norm,
-        intensity=run.intensity if with_intensity else None,
+        intensity=(lambda sel: run.intensity[sel]) if with_intensity else None,
         x=run.final.spec.positions() if with_intensity else None,
     )
     return series, GRID_COLUMNS, np.column_stack([getattr(run, name) for name in GRID_COLUMNS])
@@ -131,7 +152,9 @@ def compare(series_a: ObservableSeries, series_b: ObservableSeries) -> Compariso
     second series, with the denominator floored at 1e-12 times its
     largest norm; the intensity metric is the per-sample L2 norm of the
     renormalized-intensity difference, averaged over samples (NaN when
-    either series carries no intensity data).
+    either series carries no intensity data). The rows are formed and
+    differenced ``_BLOCK_ROWS`` at a time, and each row's sum is the one
+    the whole matrices would give.
     """
     if series_a.z.shape != series_b.z.shape or not np.allclose(
         series_a.z, series_b.z, rtol=0.0, atol=1e-12
@@ -143,19 +166,19 @@ def compare(series_a: ObservableSeries, series_b: ObservableSeries) -> Compariso
     # norms near overflow give an inf or nan error, which the report shows
     with np.errstate(over="ignore", invalid="ignore"):
         norm_err = np.abs(series_a.norm - series_b.norm) / denom
+    l2 = np.full(series_a.z.shape, np.nan)
     if (
-        series_a.intensity is not None
-        and series_b.intensity is not None
+        series_a.rows is not None
+        and series_b.rows is not None
         and series_a.x is not None
         and series_b.x is not None
         and np.array_equal(series_a.x, series_b.x)
     ):
-        dx = series_a.x[1] - series_a.x[0]
-        diff = series_a.intensity - series_b.intensity
-        diff *= diff
-        l2 = np.sqrt(diff.sum(axis=1) * dx)
-    else:
-        l2 = np.full(series_a.z.shape, np.nan)
+        for block in _blocks(len(l2)):
+            diff = series_a.rows(block) - series_b.rows(block)
+            diff *= diff
+            l2[block] = diff.sum(axis=1)
+        l2 = np.sqrt(l2 * (series_a.x[1] - series_a.x[0]))
     table = np.column_stack([series_a.z, q_err, norm_err, l2])
     mean_l2 = float(np.mean(l2)) if not np.all(np.isnan(l2)) else math.nan
     return ComparisonReport(
@@ -184,6 +207,11 @@ class ScenarioResult:
     files: list
 
 
+def _with_intensity(config: ScenarioConfig) -> bool:
+    """Whether a run reads intensity rows: for a heatmap or a comparison."""
+    return config.heatmap or len(config.propagators) >= 2
+
+
 def _run_gaussian(config: ScenarioConfig, initial: GaussianParams, potential):
     return integrate(
         initial,
@@ -210,9 +238,10 @@ def _run_oracle(config: ScenarioConfig, initial: GaussianParams, potential):
 def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
     state = reconstruct_wavefunction(initial, config.grid_spec(), constants=config.constants)
     return propagate(
-        state, potential, config.z_max,
-        dz=config.grid.dz, sample_stride=config.sample_stride, constants=config.constants,
+        state, potential, config.z_max, dz=config.grid.dz, sample_stride=config.sample_stride,
+        constants=config.constants, intensity=_with_intensity(config),
     )
+
 
 
 class _Propagator(NamedTuple):
@@ -266,7 +295,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         norm=config.initial.norm0,
         alpha=config.initial.alpha0,
     )
-    with_intensity = config.heatmap or len(config.propagators) >= 2
+    with_intensity = _with_intensity(config)
 
     trajectories: dict = {}
     series: dict = {}
@@ -302,8 +331,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         outputs = [(_PROPAGATORS[name].csv, write_csv, table) for name, table in tables.items()]
         if config.heatmap:
             outputs += [
-                (f"{name}_heatmap.csv", write_heatmap_csv, (s.x, s.z, s.intensity))
-                for name, s in series.items() if s.intensity is not None
+                (f"{name}_heatmap.csv", write_heatmap_csv,
+                 (s.x, s.z, chain.from_iterable(map(s.rows, _blocks(len(s.z))))))
+                for name, s in series.items() if s.rows is not None
             ]
         outputs += [
             (f"comparison_{name_a}_vs_{name_b}.csv", write_csv,

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +27,7 @@ from gainbeam.harness import (
     filter_experiment,
     run_scenario,
 )
-from gainbeam.outputs import read_manifest_config
+from gainbeam.outputs import read_manifest_config, write_heatmap_csv
 from gainbeam.potentials import PhysicalConstants
 from gainbeam.scenarios import scenario_library
 
@@ -401,6 +403,92 @@ class TestRunScenario:
                 table["delta_p"], np.sqrt(hbar) * np.hypot(table["re_b"], table["im_b"]) / root,
                 rtol=1e-15, atol=0,
             )
+
+
+def whole_matrix_l2(series_a, series_b):
+    """The per-sample intensity L2 of compare, from the whole matrices at once."""
+    diff = series_a.intensity - series_b.intensity
+    diff *= diff
+    return np.sqrt(diff.sum(axis=1) * (series_a.x[1] - series_a.x[0]))
+
+
+class TestIntensityRows:
+    @pytest.mark.parametrize("samples", [2, 16, 17, 301])
+    @pytest.mark.parametrize("other", ["oracle", "grid"])
+    def test_blocked_comparison_keeps_every_bit(self, tmp_path, samples, other):
+        # compare and the heatmap writer form the rows 16 at a time
+        cfg = small_config(
+            propagators=("gaussian", other), z_max=(samples - 1) * 1e-3, sample_stride=1,
+            heatmap=True,
+        )
+        result = run_scenario(cfg, out_dir=str(tmp_path / "blocks"))
+        series = result.series
+        assert len(series[other].z) == samples
+        want = whole_matrix_l2(series["gaussian"], series[other])
+        assert np.array_equal(result.reports[("gaussian", other)].samples[:, 3], want)
+        for name, s in series.items():
+            whole = tmp_path / f"{name}_whole.csv"
+            write_heatmap_csv(whole, s.x, s.z, s.intensity)
+            assert whole.read_bytes() == (tmp_path / "blocks" / f"{name}_heatmap.csv").read_bytes()
+
+    def test_restricted_comparison_keeps_every_bit(self):
+        # 500 and 714 steps, as in test_unequal_steps_compare_at_both_ends, but
+        # a stride of 1: the shared samples are a strict subset on both sides
+        cfg = small_config(
+            propagators=("gaussian", "grid"),
+            z_max=0.5,
+            gaussian=GaussianSettings(dz=1e-3),
+            grid=GridSettings(half_width=8.0, n_points=512, dz=7e-4),
+            sample_stride=1,
+        )
+        result = run_scenario(cfg)
+        ia, ib = _shared_samples(cfg, "gaussian", "grid")
+        gaussian, grid = result.series["gaussian"], result.series["grid"]
+        assert 2 < len(ia) < min(len(gaussian.z), len(grid.z))
+        for s, indices in ((gaussian, ia), (grid, ib)):
+            assert np.array_equal(s.restricted(indices).intensity, s.intensity[indices])
+        want = whole_matrix_l2(gaussian.restricted(ia), grid.restricted(ib))
+        assert np.array_equal(result.reports[("gaussian", "grid")].samples[:, 3], want)
+        assert gaussian.restricted(range(len(gaussian.z))) is gaussian
+
+    def test_kept_results_hold_columns_only(self):
+        # fig7's beams: 4096 points, 301 samples; a 301 x 4096 matrix is 9.4 MiB
+        lib = scenario_library()
+        configs = [
+            replace(lib[name], z_max=3.0, sample_stride=10)
+            for name in ("fig7-top", "fig7-mid", "fig7-bottom")
+        ]
+        tracemalloc.start()
+        try:
+            results = [run_scenario(cfg) for cfg in configs]
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 2**20 and peak < 8 * 2**20, (held, peak)
+        for result in results:
+            for series in result.series.values():
+                assert series.intensity.shape == (301, 4096)
+                assert np.array_equal(series.intensity, series.intensity)
+        single = run_scenario(small_config(propagators=("gaussian",)))
+        assert single.series["gaussian"].intensity is None
+
+    def test_grid_alone_keeps_no_matrix(self, tmp_path):
+        # with no heatmap and no comparison the grid allocates no intensity matrix
+        cfg = replace(
+            scenario_library()["fig2a"], propagators=("grid",), z_max=3.0, sample_stride=10
+        )
+        tracemalloc.start()
+        try:
+            result = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+        assert result.series["grid"].intensity is None
+        run_scenario(cfg, out_dir=str(tmp_path / "alone"))
+        run_scenario(replace(cfg, heatmap=True), out_dir=str(tmp_path / "heatmap"))
+        alone, heatmap = (tmp_path / d / "grid_observables.csv" for d in ("alone", "heatmap"))
+        assert alone.read_bytes() == heatmap.read_bytes()
 
 
 class TestScenarioLibrary:
