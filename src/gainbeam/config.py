@@ -198,7 +198,7 @@ def _default_half_width(potential: dict) -> float:
 
 
 def _unit_n_zero(constants: PhysicalConstants, what: str):
-    # only the grid's kinetic step reads n_zero
+    # only the grid reads n_zero
     if constants.n_zero != 1.0:
         raise ConfigError(f"constants.n_zero must be 1 for {what}, got {constants.n_zero}")
 

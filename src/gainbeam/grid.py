@@ -1,12 +1,30 @@
 """Split-operator solution of the paraxial equation on a periodic grid.
 
-The field is advanced by Strang splitting, second order in the step dz:
+The field obeys psi_z = (A + B) psi with the potential and kinetic
+generators A = -i V(x) / hbar and B = -i hbar k^2 / (2 n0). One step is a
+Strang step of a modified potential,
 
-    psi <- H psi                                      half potential step
-    psi <- IFFT( K FFT(psi) )                         full kinetic step
-    psi <- H psi                                      half potential step
+    S = H K H,   H = exp(-i V_mod(x) dz / (2 hbar)),   K = exp(-i hbar k^2 dz / (2 n0)),
+    V_mod = V - dz^2 V'^2 / (24 n0)
 
-with H = exp(-i V(x) dz / (2 hbar)) and K = exp(-i hbar k^2 dz / (2 n0)).
+(V'^2 the complex square of V' = V_R' + i V_I'), and the samples are
+processed (Blanes, Casas & Ros, SIAM J. Sci. Comput. 21 (1999) 711):
+
+    psi(z_k) = exp(eps C) S^k exp(-eps C) psi(0),   eps = dz^2 / 12,
+    C psi = (V'' psi + 2 V' psi') / (2 n0),
+
+with psi' the spectral derivative. Strang's error per step is
+dz^3 (-[A,[A,B]] / 24 + [B,[B,A]] / 12); the dz^2 V'^2 term of V_mod,
+which is -dz^3 [A,[A,B]] / 24 in the exponent (Takahashi & Imada,
+J. Phys. Soc. Jpn. 53 (1984) 3765), turns it into dz^3 [[A,B], A + B] / 12,
+a commutator with the generator, which the similarity transform by
+exp(eps C) cancels, since C = -[A,B]. What is left is dz^5 per step, so
+the samples are fourth order in dz at the cost of one Strang step per
+step. hbar cancels from C and from the correction to V. The processor is
+applied to second order, I +- eps C + eps^2 C^2 / 2, once to the initial
+field and once at each later sample; the kernel steps the unprocessed
+field, and the sample at z = 0 is the initial field itself. V' and V''
+are read from ``Potential.sample`` at each grid point once per call.
 V is complex: its imaginary part turns the potential factor into a real
 gain/loss amplification, and the norm is deliberately never renormalized
 during propagation -- it is one of the primary observables.
@@ -26,7 +44,9 @@ the butterflies of the inverse transform fold into one 2x2 mix per k,
 (K_lo, K_hi the first and second halves of K), and one batched unscaled
 inverse m-point transform of S and D gives the even and odd samples of
 the result. That is the same two FFT calls per step as the textbook
-step, each a pair of half-length transforms.
+step, each a pair of half-length transforms. The processor's spectral
+derivatives are the same mix with i k in place of K: four FFT calls per
+processed field.
 
 The domain [-L, L) is periodic with no absorbing layers; boundary health
 is monitored through the fraction of |psi|^2 in the outer 5% of the
@@ -40,6 +60,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -227,6 +248,44 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, 2).T
 
 
+def _mix(multiplier: np.ndarray) -> np.ndarray:
+    """The (2, 2, n/2) rows [[A; C], [B; A]] that apply a diagonal spectral multiplier
+    between a batched forward and an unscaled inverse transform of the even/odd rows."""
+    n = len(multiplier)
+    m = n // 2
+    twiddle = np.exp(-2j * np.pi / n * np.arange(m))
+    same = (multiplier[:m] + multiplier[m:]) / n
+    cross = (multiplier[:m] - multiplier[m:]) / n
+    return np.array([[same, cross * twiddle.conj()], [cross * twiddle, same]])
+
+
+def _potential_terms(potential: Potential, x: np.ndarray, dz: float, n_zero: float):
+    """V_mod and the processor's eps V'' / (2 n0) and eps V' / n0 on the grid, eps = dz^2 / 12.
+
+    V comes from ``potential.value``, V' and V'' from ``potential.sample``
+    at each point. Raises ValueError if any of them is non-finite or
+    dz^2 max|V''| / n0 >= 1.
+    """
+    n = len(x)
+    v = np.asarray(potential.value(x), dtype=complex)
+    # each sample's fields (v, v', v'') as three complex numbers
+    table = np.fromiter(chain.from_iterable(map(potential.sample, x.tolist())), float, 6 * n)
+    dv, d2v = table.view(complex).reshape(n, 3)[:, 1:].T
+    slope = dz * dv
+    v_mod = v - slope * slope / (24.0 * n_zero)
+    # V_mod is non-finite wherever V or V' is
+    if not (np.all(np.isfinite(v_mod)) and np.all(np.isfinite(d2v))):
+        raise ValueError("potential is non-finite on the grid (V, V' or V'')")
+    curvature = dz * dz * float(np.max(np.abs(d2v))) / n_zero
+    if not curvature < 1.0:
+        raise ValueError(
+            f"dz = {dz!r} (grid.dz) is too large for the potential's curvature: "
+            f"dz^2 max|V''| / n_zero = {curvature:.3g}, which must stay below 1"
+        )
+    eps = dz * dz / 12.0
+    return v_mod, eps / (2.0 * n_zero) * d2v, eps / n_zero * dv
+
+
 def propagate(
     initial: GridState,
     potential: Potential,
@@ -238,6 +297,12 @@ def propagate(
 ) -> GridRun:
     """Propagate a grid state to z_max, returning the samples as a GridRun.
 
+    The step is the processed Strang step of the module docstring: each
+    sample after the first is exp(eps C) S^k exp(-eps C) psi(0), fourth
+    order in the effective step z_max / n, with the processor applied to
+    second order in eps = dz^2 / 12. V' and V'' come from
+    ``potential.sample`` at each grid point, once per call.
+
     Samples follow :func:`schedule`: the first is the initial state at
     z = 0 and the last lands exactly on z_max. Each is measured in the
     loop, bit for bit as :func:`observables` and
@@ -247,16 +312,19 @@ def propagate(
 
     A field is sampled only if its mass is positive and finite and all its
     moments are finite, the rule of :func:`observables`. Raises ValueError
-    if V is non-finite on the grid or the initial field cannot be sampled,
-    and NumericalAbortError if a later field cannot (gain overflow or loss
-    underflow); its ``partial`` holds the samples taken before. Samples
-    with more than 1% of |psi|^2 in the outer 5% of the domain are
-    counted, and one BoundaryContaminationWarning per call reports their
-    number, the first z and the largest edge mass, also when the run aborts.
+    if V, V' or V'' is non-finite on the grid, if dz^2 max|V''| / n0 >= 1
+    (the step cannot resolve the potential's curvature), or if the initial
+    field cannot be sampled, and NumericalAbortError if a later field
+    cannot (gain overflow or loss underflow); its ``partial`` holds the
+    samples taken before. Samples with more than 1% of |psi|^2 in the outer
+    5% of the domain are counted, and one BoundaryContaminationWarning per
+    call reports their number, the first z and the largest edge mass, also
+    when the run aborts.
     """
     n_steps, dz_eff, sample_steps = schedule(z_max, dz, sample_stride)
     spec = initial.spec
     n, m = spec.n_points, spec.n_points // 2
+    n_zero = constants.n_zero
 
     x, k, dx, edge_mask = _geometry(spec)
     # rows z, norm, mean_q, mean_p, delta_q, edge_mass; a column per sample
@@ -265,37 +333,54 @@ def propagate(
     psi, final = initial.amplitudes, initial
     taken = 0
     # chi is the field between the half potential steps, held as its even
-    # and odd samples: the two rows of the batched half-length FFTs
-    chi, halves, mix, odd = (np.empty((2, m), dtype=complex) for _ in range(4))
+    # and odd samples: the two rows of the batched half-length FFTs; field
+    # is the kernel's unprocessed field at a sample, g = eps C field
+    chi, field, g, halves, mix, odd, grad = (np.empty((2, m), dtype=complex) for _ in range(7))
 
     # overflow (in V at a wide grid, a tiny hbar in the factors, gain in
     # the field) is detected by the finiteness checks on V and at sample
     # times; a field near overflow measures as inf/nan
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.asarray(potential.value(x), dtype=complex)
-        if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
-            raise ValueError("potential is non-finite on the grid")
-        half_potential = _rows(np.exp(-0.5j * dz_eff * v / constants.hbar)).copy()
+        v_mod, c_u, c_grad = _potential_terms(potential, x, dz_eff, n_zero)
+        half_potential = _rows(np.exp(-0.5j * dz_eff * v_mod / constants.hbar)).copy()
         full_potential = half_potential * half_potential
-        kinetic = np.exp(-0.5j * constants.hbar * dz_eff * k * k / constants.n_zero)
-        twiddle = np.exp(-2j * np.pi / n * np.arange(m))
-        same = (kinetic[:m] + kinetic[m:]) / n
-        cross = (kinetic[:m] - kinetic[m:]) / n
-        even_rows = np.stack([same, cross * twiddle.conj()])  # [A; C]
-        odd_rows = np.stack([cross * twiddle, same])  # [B; A]
+        kinetic = _mix(np.exp(-0.5j * constants.hbar * dz_eff * k * k / n_zero))
+        derivative = _mix(1j * k)
+        # g = eps C u = c_u u + c_grad u', and the processor
+        # (I + sign eps C + eps^2 C^2 / 2) u = u + (sign + c_u / 2) g + (c_grad / 2) g'
+        c_u, c_grad = _rows(c_u).copy(), _rows(c_grad).copy()
+        half_grad, plus_scale = 0.5 * c_grad, 1.0 + 0.5 * c_u
+
+        def spectral(f, rows, out):
+            # one batched pair of half-length transforms with a multiplier folded in
+            np.fft.fft(f, out=halves)
+            np.multiply(halves[0], rows[0], out=mix)
+            np.multiply(halves[1], rows[1], out=odd)
+            np.add(mix, odd, out=mix)
+            np.fft.ifft(mix, norm="forward", out=out)
+
+        def process(u, scale, out):
+            spectral(u, derivative, grad)
+            np.multiply(c_grad, grad, out=g)
+            np.multiply(c_u, u, out=mix)
+            np.add(g, mix, out=g)
+            spectral(g, derivative, grad)
+            np.multiply(half_grad, grad, out=grad)
+            np.multiply(scale, g, out=mix)
+            np.add(mix, grad, out=grad)
+            np.add(u, grad, out=out)
+
+        process(_rows(psi), 0.5 * c_u - 1.0, field)
         for step in range(n_steps + 1):
             if step:
-                np.fft.fft(chi, out=halves)
-                np.multiply(halves[0], even_rows, out=mix)
-                np.multiply(halves[1], odd_rows, out=odd)
-                np.add(mix, odd, out=mix)
-                np.fft.ifft(mix, norm="forward", out=chi)
+                spectral(chi, kinetic, chi)
                 if step != sample_steps[taken]:
                     chi *= full_potential
                     continue
+                np.multiply(chi, half_potential, out=field)
                 # a fresh array, so the last sampled field stays intact
                 psi = np.empty(n, dtype=complex)
-                np.multiply(chi, half_potential, out=_rows(psi))
+                process(field, plus_scale, _rows(psi))
             density, mass, moments = _measure(psi, x, k, dx, edge_mask, constants.hbar)
             if not step and moments is None:
                 raise ValueError(
@@ -313,7 +398,7 @@ def propagate(
                 np.divide(density, mass, out=matrix[taken])
             final = GridState(spec, psi, step * dz_eff)
             taken += 1
-            np.multiply(_rows(psi), half_potential, out=chi)
+            np.multiply(field, half_potential, out=chi)
     run = GridRun(*table[:, :taken], None if matrix is None else matrix[:taken], final)
     flagged = np.flatnonzero(run.edge_mass > EDGE_MASS_LIMIT)
     if len(flagged):

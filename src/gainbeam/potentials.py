@@ -118,14 +118,19 @@ class PtTanhGaussian(Potential):
         # envelope g = eta^2 exp(-omega^2 x^2 / (2 eta^2)) and derivatives
         e = math.exp(-w2 * q * q / (2.0 * eta * eta))
         g = eta * eta * e
-        dg = -w2 * q * e
-        d2g = (-w2 + w2 * w2 * q * q / (eta * eta)) * e
         # odd factor t = tanh(x/eta) and derivatives
         t = math.tanh(q / eta)
+        c = self.gamma / eta
+        if e == 0.0:
+            # every field carries the envelope, which underflowed; its large
+            # factors would make inf * 0 = NaN of the derivatives
+            return tuple.__new__(PotentialSample, (-g, c * t * g, 0.0, 0.0, 0.0, 0.0))
+        dg = -w2 * q * e
+        # at q = 0 the curvature term is 0 even where w2 * w2 overflows
+        d2g = (-w2 + (w2 * w2 * q * q / (eta * eta) if q else 0.0)) * e
         sech2 = 1.0 - t * t
         dt = sech2 / eta
         d2t = -2.0 * t * sech2 / (eta * eta)
-        c = self.gamma / eta
         # tuple.__new__ skips the NamedTuple constructor: half the cost on this hot path
         return tuple.__new__(PotentialSample, (
             -g,  # v_real

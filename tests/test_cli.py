@@ -152,8 +152,9 @@ class TestRun:
             # psi is finite, but |psi|^2 overflows on the grid
             ({"initial": {"q0": 0.5, "p0": 0.0, "b0": [0.0, 1.0], "norm0": 1e154},
               "propagators": ["gaussian", "grid"]}, EXIT_CONFIG),
+            # V'' = 1e308 at x = 0, a curvature no step resolves
             ({"potential": {"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1e154,
-                            "eta": 5.0}}, EXIT_OK),
+                            "eta": 5.0}}, EXIT_CONFIG),
             ({"potential": {"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1.0,
                             "eta": 1e-154}}, EXIT_OK),
         ],
@@ -178,6 +179,19 @@ class TestRun:
             assert stderr.startswith("config error:") and stderr.count("\n") == 1
         else:
             assert stderr == ""
+
+    def test_unresolved_curvature_names_the_step(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            potential={"kind": "pt_tanh_gaussian", "gamma": 1.0, "omega": 1e154, "eta": 5.0},
+            initial={"q0": 0.5, "p0": 0.0, "b0": [0.0, 1.0]},
+            propagators=["grid"],
+            z_max=0.02,
+            grid={"half_width": 20.0, "n_points": 256, "dz": 1e-3},
+        )
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("config error:") and "grid.dz" in stderr
 
     def test_overflowing_peak_gives_finite_heatmap_row(self, tmp_path):
         # Im B / (pi hbar) = 3e309 overflows; its root, the z = 0 peak, does not

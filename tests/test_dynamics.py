@@ -158,8 +158,9 @@ def test_hermitian_limit_conserves_energy(pot, q, p, re_b, im_b):
     # with V_I = 0, q' = p and p' = -V_R'(q) are Hamilton's equations, so RK4
     # keeps p^2/2 + V_R(q) to its truncation error (at most 9.4e-14 relative
     # over the corners of these ranges). The grid's <H> = <hbar^2 k^2 / (2 n0)>
-    # + <V_R> drifts by the Strang splitting error, which scales as dz^2
-    # (at most 0.94 dz^2 relative over the same corners)
+    # + <V_R> drifts by the processed step's error, which scales as dz^4
+    # (at most 0.42 dz^4 relative over the same corners; plain Strang's
+    # reached 0.94 dz^2)
     g0 = GaussianParams(q, p, complex(re_b, im_b))
     traj = integrate(g0, pot, 0.5, dz=1e-3, sample_stride=100)
     energy = traj.p**2 / 2 + np.array([pot.sample(x).v_real for x in traj.q])
@@ -184,7 +185,11 @@ def test_hermitian_limit_conserves_energy(pot, q, p, re_b, im_b):
 # On quadratic_linear the Gaussian family is exact, so RK4 and the grid
 # differ from the closed forms only by their truncation errors. Over these
 # ranges (z <= 1) the worst ratios found at the corners and on 300 random
-# draws are 88 dz^4 for RK4 and 1.7 dz^2 for the grid's max-abs field error
+# draws are 88 dz^4 for RK4 and 0.53 dz^2 for the grid's max-abs field
+# error (1.7 dz^2 with plain Strang). The grid's worst case is a floor of
+# 1.3e-5 at every dz, where the widest beam's tail reaches the edge of
+# L = 16 (q, p, Re b = 1, Im b 0.5, omega 0.7, hbar 1.5, z = 1; 1.5e-12
+# at L = 24); its step error is fourth order
 QUADRATIC_DRAWS = dict(
     q=st.floats(-1.0, 1.0),
     p=st.floats(-1.0, 1.0),

@@ -16,7 +16,9 @@ from gainbeam.grid import (
     schedule,
 )
 from gainbeam.potentials import (
+    DEFAULT_CONSTANTS,
     FreeSpace,
+    PhysicalConstants,
     Potential,
     PotentialSample,
     PtTanhGaussian,
@@ -141,17 +143,49 @@ class TestPropagate:
         for norm in run.norm:
             assert abs(norm - 1.0) < 1e-8
 
-    def test_strang_splitting_order(self):
-        spec = GridSpec(80.0, 2048)
-        psi0 = reconstruct_wavefunction(GaussianParams(-4.0, 0.0, 1j), spec)
+    @staticmethod
+    def error_ratio(spec, potential, g0, z, constants=DEFAULT_CONSTANTS):
+        """Terminal L2 error at dz 4e-2 over that at 2e-2, both against dz 5e-3."""
+        psi0 = reconstruct_wavefunction(g0, spec, constants=constants)
 
         def terminal(dz):
-            return propagate(psi0, TANH, 2.0, dz=dz, sample_stride=10**9).final.amplitudes
+            run = propagate(psi0, potential, z, dz=dz, sample_stride=10**9, constants=constants)
+            return run.final.amplitudes
 
-        ref = terminal(5e-4)
-        e_coarse = np.linalg.norm(terminal(4e-3) - ref)
-        e_fine = np.linalg.norm(terminal(2e-3) - ref)
-        assert e_coarse / e_fine >= 3.5
+        ref = terminal(5e-3)
+        return np.linalg.norm(terminal(4e-2) - ref) / np.linalg.norm(terminal(2e-2) - ref)
+
+    def test_strang_splitting_order(self):
+        # at least second order. At dz 4e-3 and 2e-3 against 5e-4 both
+        # processed errors are round-off (about 4e-11, ratio 1.2), so the
+        # steps are ten times those
+        ratio = self.error_ratio(GridSpec(80.0, 2048), TANH, GaussianParams(-4.0, 0.0, 1j), 2.0)
+        assert ratio >= 3.5
+
+    @pytest.mark.parametrize(
+        "spec, potential, g0, constants",
+        [
+            (GridSpec(80.0, 2048), TANH, GaussianParams(-4.0, 0.0, 1j), DEFAULT_CONSTANTS),
+            # n0 enters V_mod and C, hbar neither: a misplaced factor leaves second order
+            (GridSpec(20.0, 1024), PtTanhGaussian(gamma=1.0, omega=1.0, eta=5.0),
+             GaussianParams(1.0, 0.2, 0.1 + 1j), PhysicalConstants(0.5, 2.0)),
+            (GridSpec(20.0, 1024), PtTanhGaussian(gamma=1.0, omega=1.0, eta=5.0),
+             GaussianParams(1.0, 0.2, 0.1 + 1j), PhysicalConstants(2.0, 0.7)),
+        ],
+        ids=["strang-setup", "hbar-0.5-n0-2", "hbar-2-n0-0.7"],
+    )
+    def test_fourth_order(self, spec, potential, g0, constants):
+        # halving dz cuts the processed step's error 16-fold; Strang's, 4-fold
+        assert self.error_ratio(spec, potential, g0, 2.0, constants) >= 12
+
+    def test_first_sample_is_the_initial_field(self):
+        spec = GridSpec(12.0, 512)
+        psi0 = reconstruct_wavefunction(GaussianParams(0.5, -0.3, 0.2 + 1j), spec)
+        run = propagate(psi0, TANH, 0.05, dz=1e-3, sample_stride=10)
+        first = observables(psi0)
+        for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass"):
+            assert getattr(run, name)[0] == getattr(first, name)
+        assert np.array_equal(run.intensity[0], renormalized_intensity(psi0))
 
     def test_spectral_convergence(self):
         # doubling the grid changes terminal observables below 1e-8
@@ -167,7 +201,7 @@ class TestPropagate:
         assert abs(a.norm - b.norm) < 1e-8 * max(a.norm, 1.0)
 
     def test_gain_loss_factors(self):
-        # uniform gain: norm grows exactly exp(g z); Strang is exact here
+        # uniform gain: norm grows exactly exp(g z); V' = V'' = 0, so the step is exact
         class FlatGain(Potential):
             def sample(self, q):
                 return PotentialSample(0.0, 0.5, 0.0, 0.0, 0.0, 0.0)
@@ -210,8 +244,10 @@ class TestPropagate:
             (math.inf, QUAD, "initial beam is non-finite"),
             # V = omega^2 x^2 / 2 overflows at x^2 omega^2 > 1.8e308
             (1.0, QuadraticLinear(omega=1e154, gamma=0.5), "potential is non-finite"),
+            # V'' = omega^2 = 1e308 at x = 0: no step resolves that curvature
+            (1.0, PtTanhGaussian(gamma=1.0, omega=1e154, eta=5.0), "grid.dz"),
         ],
-        ids=["zero", "nan", "inf", "potential"],
+        ids=["zero", "nan", "inf", "potential", "curvature"],
     )
     def test_inputs_that_give_no_sample_are_value_errors(self, amplitude, potential, match):
         spec = GridSpec(20.0, 256)
@@ -300,29 +336,80 @@ class TestPropagate:
         assert all(norm > 0.0 for norm in err.value.partial.norm)
 
 
-def textbook_step(psi, potential, spec, dz):
-    """One Strang step as written in the grid module's docstring."""
-    half = np.exp(-0.5j * dz * potential.value(spec.positions()))
-    kinetic = np.exp(-0.5j * dz * spec.wavenumbers() ** 2)
-    return np.fft.ifft(kinetic * np.fft.fft(half * psi)) * half
+def processed_textbook(potential, spec, dz):
+    """The processed Strang step as written in the grid module's docstring.
+
+    Returns (S, P): S(f) is one Strang step of V_mod, P(f, sign) the
+    processor I + sign eps C + eps^2 C^2 / 2. C is the commutator of the
+    spectral kinetic generator Y and the potential generator X, C f =
+    Y(X f) - X(Y f), and V' in V_mod a finite difference of V.
+    """
+    x, k = spec.positions(), spec.wavenumbers()
+    v = potential.value(x)
+    h = 1e-3
+    dv = (potential.value(x - 2 * h) - 8 * potential.value(x - h)
+          + 8 * potential.value(x + h) - potential.value(x + 2 * h)) / (12 * h)
+
+    def generator_x(f):
+        return -1j * v * f
+
+    def generator_y(f):
+        return np.fft.ifft(-0.5j * k * k * np.fft.fft(f))
+
+    def commutator(f):
+        return generator_y(generator_x(f)) - generator_x(generator_y(f))
+
+    eps = dz * dz / 12
+    half = np.exp(-0.5j * dz * (v - dz * dz * dv * dv / 24))
+    kinetic = np.exp(-0.5j * dz * k * k)
+
+    def strang(f):
+        return np.fft.ifft(kinetic * np.fft.fft(half * f)) * half
+
+    def processor(f, sign):
+        cf = commutator(f)
+        return f + sign * eps * cf + 0.5 * eps * eps * commutator(cf)
+
+    return strang, processor
+
+
+class Ripple(Potential):
+    """V = 3 cos(pi x / L) + i sin(pi x / L): periodic on [-L, L), two Fourier modes."""
+
+    def __init__(self, half_width):
+        self.w = math.pi / half_width
+
+    def sample(self, q):
+        w, c, s = self.w, math.cos(self.w * q), math.sin(self.w * q)
+        return PotentialSample(3 * c, s, -3 * w * s, w * c, -3 * w * w * c, -w * w * s)
+
+    def value(self, x):
+        return 3 * np.cos(self.w * x) + 1j * np.sin(self.w * x)
 
 
 @pytest.mark.filterwarnings("ignore::gainbeam.errors.BoundaryContaminationWarning")
 class TestKernel:
-    """The batched half-length kernel against the textbook step."""
+    """The batched half-length kernel and the processor against the textbook step."""
 
     @pytest.mark.parametrize("n", [256, 1024, 4096])
     @pytest.mark.parametrize("field", ["random", "beam"])
     def test_one_step(self, n, field):
+        # the commutator of the discrete generators is the program's
+        # C = (V'' + 2 V' d/dx) / 2 only where V f is resolved on the grid:
+        # the random field fills half the band, on a potential of two modes
         spec = GridSpec(20.0, n)
         if field == "random":
             rng = np.random.default_rng(n)
-            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            spectrum = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            spectrum[np.abs(np.fft.fftfreq(n, 1 / n)) >= n // 4] = 0
+            psi, potential = np.fft.ifft(spectrum) * np.sqrt(n), Ripple(20.0)
         else:
             psi = reconstruct_wavefunction(GaussianParams(-1.0, 0.7, 0.3 + 1j), spec).amplitudes
+            potential = TANH
         dz = 1e-2
-        got = propagate(GridState(spec, psi), TANH, dz, dz=dz).final.amplitudes
-        want = textbook_step(psi, TANH, spec, dz)
+        got = propagate(GridState(spec, psi), potential, dz, dz=dz).final.amplitudes
+        strang, processor = processed_textbook(potential, spec, dz)
+        want = processor(strang(processor(psi, -1)), 1)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_run_matches_textbook_steps(self):
@@ -331,10 +418,13 @@ class TestKernel:
         dz = 1e-3
         run = propagate(GridState(spec, psi), TANH, 100 * dz, dz=dz, sample_stride=10)
         assert len(run) == 11
+        strang, processor = processed_textbook(TANH, spec, dz)
+        kernel = processor(psi, -1)
         for i in range(11):
             if i:
                 for _ in range(10):
-                    psi = textbook_step(psi, TANH, spec, dz)
+                    kernel = strang(kernel)
+                psi = processor(kernel, 1)
             state = GridState(spec, psi, i * 10 * dz)
             want = observables(state)
             for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass"):
@@ -345,9 +435,10 @@ class TestKernel:
         assert np.max(np.abs(run.final.amplitudes - psi)) <= 1e-12 * np.max(np.abs(psi))
 
     def test_fft_calls(self, monkeypatch):
-        # one forward and one inverse call per step, and one forward call
-        # per sample for <p>; np.fft is looked up at call time, so wrappers
-        # put on it see every call
+        # one forward and one inverse call per step; per sample, one forward
+        # call for <p>; and two of each for the processor, once on the
+        # initial field and once at each later sample. np.fft is looked up
+        # at call time, so wrappers put on it see every call
         calls = {"fft": 0, "ifft": 0}
 
         def counting(name, fn):
@@ -362,7 +453,7 @@ class TestKernel:
         psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j), spec)
         run = propagate(psi0, TANH, 0.1, dz=1e-3, sample_stride=7)
         assert len(run) == 16  # steps 0, 7, ..., 98 and 100
-        assert calls == {"fft": 100 + 16, "ifft": 100}
+        assert calls == {"fft": 100 + 16 + 2 * 16, "ifft": 100 + 2 * 16}
 
 
 class TestExactlyQuadraticOracle:

@@ -59,6 +59,25 @@ class TestSamples:
             assert plus.v_real == pytest.approx(minus.v_real, abs=1e-13, rel=1e-13)
             assert plus.v_imag == pytest.approx(-minus.v_imag, abs=1e-13, rel=1e-13)
 
+    @pytest.mark.parametrize("pot", [PtTanhGaussian(gamma=1.0, omega=1.0, eta=1e-154),
+                                     PtTanhGaussian(gamma=1.0, omega=1e154, eta=5.0)],
+                             ids=["eta-1e-154", "omega-1e154"])
+    def test_underflowed_envelope_gives_finite_fields(self, pot):
+        # the envelope underflows away from x = 0, where inf * 0 made NaN
+        # derivatives; there they are 0, and V keeps its value
+        xs = np.linspace(-20.0, 20.0, 256, endpoint=False)
+        with np.errstate(over="ignore"):
+            values = pot.value(xs)
+        for x, v in zip(xs, values):
+            s = pot.sample(float(x))
+            assert np.all(np.isfinite(fields(s)))
+            assert complex(s.v_real, s.v_imag) == pytest.approx(v, rel=1e-12, abs=1e-300)
+            if x:
+                assert fields(s)[2:] == (0.0,) * 4
+        s = pot.sample(0.0)
+        # the curvature of V_R at 0 is omega^2, the slope of V_I gamma
+        assert (s.dv_real, s.dv_imag, s.d2v_real, s.d2v_imag) == (0.0, 1.0, pot.omega**2, 0.0)
+
     def test_free_space(self):
         assert fields(FreeSpace().sample(3.0)) == (0.0,) * 6
 
