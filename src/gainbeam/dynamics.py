@@ -94,7 +94,8 @@ class Trajectory:
 
     z is non-decreasing. A stepped run starts from the initial condition
     at z = 0, its z increases strictly, and ``dz`` is its step; closed-form
-    samples at arbitrary z carry ``dz`` None.
+    samples at arbitrary z carry ``dz`` None. A run is read as its CSV
+    :meth:`columns` and its heatmap :meth:`intensity_rows`.
     """
 
     z: np.ndarray
@@ -124,11 +125,32 @@ class Trajectory:
     def __iter__(self):
         return iter(self.samples)
 
-    def columns(self) -> dict:
-        """Column arrays (z, q, p, re_b, im_b, norm, alpha, delta_q, delta_p)."""
+    @property
+    def mean_q(self) -> np.ndarray:
+        """The center column q, under the name a grid run gives it."""
+        return self.q
+
+    def columns(self, hbar: float = 1.0) -> dict:
+        """Column arrays (z, q, p, re_b, im_b, norm, alpha, delta_q, delta_p); the widths
+        are in hbar = 1 units by default and physical, sqrt(hbar) times those, at ``hbar``."""
         cols = {name: getattr(self, name) for name in _FIELDS}
-        cols["delta_q"], cols["delta_p"] = _widths(self.re_b, self.im_b)
+        scale = math.sqrt(hbar)
+        cols["delta_q"], cols["delta_p"] = (scale * w for w in _widths(self.re_b, self.im_b))
         return cols
+
+    def intensity_rows(self, x: np.ndarray, hbar: float, rows) -> np.ndarray:
+        """Rows (a slice or index array) of the ansatz's renormalized |psi|^2 on positions x:
+        sqrt(Im B / (pi hbar)) exp(-Im B (x - q)^2 / hbar), which the norm does not enter."""
+        im_b, u = self.im_b[rows, None], x - self.q[rows, None]
+        # a grid far wider than the beam overflows the exponent to -inf: intensity 0
+        with np.errstate(over="ignore"):
+            intensity = -im_b * u * u / hbar
+            np.exp(intensity, out=intensity)
+            # Im B / (pi hbar) can overflow where its root, below 3e238, does not
+            peak = np.sqrt(im_b / (math.pi * hbar))
+            peak = np.where(np.isfinite(peak), peak, np.sqrt(im_b / math.pi) / math.sqrt(hbar))
+            intensity *= peak
+        return intensity
 
 
 def _require_width(b: complex, z=None):

@@ -334,8 +334,8 @@ def propagate(
     taken = 0
     # chi is the field between the half potential steps, held as its even
     # and odd samples: the two rows of the batched half-length FFTs; field
-    # is the kernel's unprocessed field at a sample, g = eps C field
-    chi, field, g, halves, mix, odd, grad = (np.empty((2, m), dtype=complex) for _ in range(7))
+    # is the kernel's unprocessed field at a sample
+    chi, field, halves, mix, odd = (np.empty((2, m), dtype=complex) for _ in range(5))
 
     # overflow (in V at a wide grid, a tiny hbar in the factors, gain in
     # the field) is detected by the finiteness checks on V and at sample
@@ -351,24 +351,18 @@ def propagate(
         c_u, c_grad = _rows(c_u).copy(), _rows(c_grad).copy()
         half_grad, plus_scale = 0.5 * c_grad, 1.0 + 0.5 * c_u
 
-        def spectral(f, rows, out):
+        def spectral(f, rows, out=None):
             # one batched pair of half-length transforms with a multiplier folded in
             np.fft.fft(f, out=halves)
             np.multiply(halves[0], rows[0], out=mix)
             np.multiply(halves[1], rows[1], out=odd)
             np.add(mix, odd, out=mix)
-            np.fft.ifft(mix, norm="forward", out=out)
+            return np.fft.ifft(mix, norm="forward", out=out)
 
         def process(u, scale, out):
-            spectral(u, derivative, grad)
-            np.multiply(c_grad, grad, out=g)
-            np.multiply(c_u, u, out=mix)
-            np.add(g, mix, out=g)
-            spectral(g, derivative, grad)
-            np.multiply(half_grad, grad, out=grad)
-            np.multiply(scale, g, out=mix)
-            np.add(mix, grad, out=grad)
-            np.add(u, grad, out=out)
+            # once per sample: its temporaries cost nothing next to the steps
+            g = c_grad * spectral(u, derivative) + c_u * u
+            np.add(u, scale * g + half_grad * spectral(g, derivative), out=out)
 
         process(_rows(psi), 0.5 * c_u - 1.0, field)
         for step in range(n_steps + 1):

@@ -7,14 +7,16 @@ initial beam:
 * ``grid``     -- split-operator solution of the full wave equation;
 * ``oracle``   -- closed forms (quadratic_linear potentials only).
 
-Each propagator yields an observable series on its sampled z values;
-pairs of propagators are compared on the z values they share. Outputs are
-CSV files plus a manifest that can reconstruct the configuration exactly.
+Each propagator returns a record of its sampled z values, a Trajectory
+or a GridRun, which gives its own CSV columns and intensity rows; pairs of
+propagators are compared on the z values they share. Outputs are CSV
+files plus a manifest that can reconstruct the configuration exactly.
 """
 
 import math
 import os
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import chain, combinations
 from typing import Callable, NamedTuple
 
@@ -26,7 +28,7 @@ from .config import FilterConfig, ScenarioConfig, build_potential
 from .dynamics import GaussianParams, Trajectory, integrate, reconstruct_wavefunction
 from .errors import ConfigError, NumericalAbortError
 # bench/tracing.py wraps observables and renormalized_intensity by name here
-from .grid import GridRun, observables, propagate, renormalized_intensity, schedule  # noqa: F401
+from .grid import observables, propagate, renormalized_intensity, schedule  # noqa: F401
 from .outputs import write_csv, write_heatmap_csv, write_manifest
 
 __all__ = [
@@ -61,9 +63,8 @@ class ObservableSeries:
 
     ``intensity`` is a row source: a function from a row selection (a slice
     or an index array) to those rows of the renormalized intensity on the
-    positions ``x``, or None. The Gaussian's forms its rows from q and Im B,
-    the grid's reads the run's matrix. The ``intensity`` attribute forms
-    all rows on each read.
+    positions ``x``, or None: a Trajectory's ``intensity_rows`` or a GridRun's
+    stored rows. The ``intensity`` attribute forms all rows on each read.
     """
 
     def __init__(self, z, mean_q, norm, intensity: Callable | None = None, x=None):
@@ -85,47 +86,18 @@ class ObservableSeries:
         )
 
 
-def _physical_columns(traj: Trajectory, hbar: float) -> dict:
-    """``traj.columns()`` with the widths delta_q and delta_p times sqrt(hbar), as measured."""
-    cols = traj.columns()
-    scale = math.sqrt(hbar)
-    for name in ("delta_q", "delta_p"):
-        cols[name] = scale * cols[name]
-    return cols
-
-
-def _observe_trajectory(traj: Trajectory, config, with_intensity: bool):
+def _observe(record, config, with_intensity: bool):
+    """A Trajectory's or a GridRun's ObservableSeries and CSV table (header, rows)."""
     hbar = config.constants.hbar
-    cols = _physical_columns(traj, hbar)
-    x = config.grid_spec().positions() if with_intensity else None
-
-    def rows(sel):
-        # renormalized |psi|^2 of the ansatz in closed form (norm-independent),
-        # sqrt(Im B / (pi hbar)) exp(-Im B (x - q)^2 / hbar), one row per sample
-        im_b, u = traj.im_b[sel, None], x - traj.q[sel, None]
-        # a grid far wider than the beam overflows the exponent to -inf: intensity 0
-        with np.errstate(over="ignore"):
-            intensity = -im_b * u * u / hbar
-            np.exp(intensity, out=intensity)
-            # Im B / (pi hbar) can overflow where its root, below 3e238, does not
-            peak = np.sqrt(im_b / (math.pi * hbar))
-            peak = np.where(np.isfinite(peak), peak, np.sqrt(im_b / math.pi) / math.sqrt(hbar))
-            intensity *= peak
-        return intensity
-
-    series = ObservableSeries(
-        cols["z"], cols["q"], cols["norm"], rows if with_intensity else None, x
-    )
-    return series, TRAJECTORY_COLUMNS, np.column_stack([cols[c] for c in TRAJECTORY_COLUMNS])
-
-
-def _observe_grid(run: GridRun, config, with_intensity: bool):
-    series = ObservableSeries(
-        run.z, run.mean_q, run.norm,
-        intensity=(lambda sel: run.intensity[sel]) if with_intensity else None,
-        x=run.final.spec.positions() if with_intensity else None,
-    )
-    return series, GRID_COLUMNS, np.column_stack([getattr(run, name) for name in GRID_COLUMNS])
+    ansatz = isinstance(record, Trajectory)
+    header = TRAJECTORY_COLUMNS if ansatz else GRID_COLUMNS
+    columns = record.columns(hbar) if ansatz else vars(record)
+    x = rows = None
+    if with_intensity:
+        x = config.grid_spec().positions()
+        rows = partial(record.intensity_rows, x, hbar) if ansatz else record.intensity.__getitem__
+    series = ObservableSeries(record.z, record.mean_q, record.norm, rows, x)
+    return series, header, np.column_stack([columns[name] for name in header])
 
 
 @dataclass
@@ -243,21 +215,17 @@ def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
     )
 
 
-
 class _Propagator(NamedTuple):
     run: Callable  # (config, initial, potential) -> Trajectory or GridRun; aborts carry .partial
-    observe: Callable  # (record, config, with_intensity) -> (series, header, rows)
     step: str  # config section whose dz sets the sample schedule
     csv: str
 
 
 # in run order; also the order of the output files
 _PROPAGATORS = {
-    "gaussian": _Propagator(
-        _run_gaussian, _observe_trajectory, "gaussian", "gaussian_trajectory.csv"
-    ),
-    "oracle": _Propagator(_run_oracle, _observe_trajectory, "gaussian", "oracle_trajectory.csv"),
-    "grid": _Propagator(_run_grid, _observe_grid, "grid", "grid_observables.csv"),
+    "gaussian": _Propagator(_run_gaussian, "gaussian", "gaussian_trajectory.csv"),
+    "oracle": _Propagator(_run_oracle, "gaussian", "oracle_trajectory.csv"),
+    "grid": _Propagator(_run_grid, "grid", "grid_observables.csv"),
 }
 
 
@@ -311,7 +279,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
             record = exc.partial
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        series[name], header, rows = prop.observe(record, config, with_intensity)
+        series[name], header, rows = _observe(record, config, with_intensity)
         tables[name] = (header, rows)
         if isinstance(record, Trajectory):
             trajectories[name] = record
@@ -416,8 +384,7 @@ def filter_experiment(config: FilterConfig, out_dir: str | None = None) -> Filte
     ]
     zs, dz = trajectories[0].z, trajectories[0].dz
     centers = np.array([t.q for t in trajectories])
-    hbar = config.constants.hbar
-    beam_widths = np.array([_physical_columns(t, hbar)["delta_q"] for t in trajectories])
+    beam_widths = np.array([t.columns(config.constants.hbar)["delta_q"] for t in trajectories])
     del trajectories  # freed before the pair arrays, which take as much memory again
 
     # every pair (a[k], b[k]) at once, in the order of itertools.combinations

@@ -188,6 +188,9 @@ class TestRunScenario:
             series = result.series[name]
             assert np.array_equal(series.x, x)
             assert np.array_equal(series.intensity, want)
+            # the series reads its rows from the trajectory, for a slice or an index array
+            for sel in (slice(1, None, 2), np.array([0, 2, len(traj.z) - 1])):
+                assert np.array_equal(traj.intensity_rows(x, hbar, sel), series.rows(sel))
 
     def test_grid_comparison_on_quadratic(self):
         cfg = small_config(propagators=("gaussian", "grid"), z_max=2.0)
@@ -378,13 +381,13 @@ class TestRunScenario:
         # the trajectory CSVs scale the hbar = 1 widths of Trajectory.columns()
         # by sqrt(hbar); the grid measures its delta_q from |psi|^2
         hbar, b0 = 0.25, 0.3 + 1j
-        tables = {}
+        tables, results = {}, {}
         for other in ("grid", "oracle"):
             cfg = small_config(
                 initial=InitialBeam(q0=0.5, p0=0.0, b0=b0), propagators=("gaussian", other),
                 z_max=0.1, constants=PhysicalConstants(hbar=hbar),
             )
-            run_scenario(cfg, out_dir=str(tmp_path / other))
+            results[other] = run_scenario(cfg, out_dir=str(tmp_path / other))
             for path in (tmp_path / other).glob("*_*.csv"):
                 header, *rows = path.read_text().splitlines()
                 columns = np.array([row.split(",") for row in rows], dtype=float).T
@@ -397,6 +400,12 @@ class TestRunScenario:
         )
         for name in ("gaussian_trajectory", "oracle_trajectory"):
             table = tables["oracle", name]
+            traj = results["oracle"].trajectories[name.split("_")[0]]
+            assert traj.mean_q is traj.q
+            for width in ("delta_q", "delta_p"):
+                # the CSV's %.17g text reads back as the same double
+                assert np.array_equal(table[width], traj.columns(hbar)[width])
+                assert np.array_equal(table[width], math.sqrt(hbar) * traj.columns()[width])
             root = np.sqrt(2 * table["im_b"])
             assert np.allclose(table["delta_q"], np.sqrt(hbar) / root, rtol=1e-15, atol=0)
             assert np.allclose(
