@@ -249,14 +249,15 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def _mix(multiplier: np.ndarray) -> np.ndarray:
-    """The (2, 2, n/2) rows [[A; C], [B; A]] that apply a diagonal spectral multiplier
-    between a batched forward and an unscaled inverse transform of the even/odd rows."""
+    """The (2, 2, n/2) rows [[A; A], [B; C]] that apply a diagonal spectral multiplier
+    between a batched forward and an unscaled inverse transform of the even/odd rows:
+    the transforms H of the rows become H * [A; A] + H[::-1] * [B; C]."""
     n = len(multiplier)
     m = n // 2
     twiddle = np.exp(-2j * np.pi / n * np.arange(m))
     same = (multiplier[:m] + multiplier[m:]) / n
     cross = (multiplier[:m] - multiplier[m:]) / n
-    return np.array([[same, cross * twiddle.conj()], [cross * twiddle, same]])
+    return np.array([[same, same], [cross * twiddle, cross * twiddle.conj()]])
 
 
 def _potential_terms(potential: Potential, x: np.ndarray, dz: float, n_zero: float):
@@ -354,8 +355,8 @@ def propagate(
         def spectral(f, rows, out=None):
             # one batched pair of half-length transforms with a multiplier folded in
             np.fft.fft(f, out=halves)
-            np.multiply(halves[0], rows[0], out=mix)
-            np.multiply(halves[1], rows[1], out=odd)
+            np.multiply(halves, rows[0], out=mix)
+            np.multiply(halves[::-1], rows[1], out=odd)
             np.add(mix, odd, out=mix)
             return np.fft.ifft(mix, norm="forward", out=out)
 

@@ -3,10 +3,12 @@
 All numeric output uses 17 significant digits so doubles round-trip
 losslessly; newlines are Unix; files are written atomically (temp file in
 the target directory, then rename) so concurrent scenario runs never see a
-partial file. One process formats the cells in chunks of at most 2560,
-numpy giving each cell the bytes of Python's ``"%.17g" % v`` (Python formats
-the non-finite cells and those too near a rounding tie), so memory does not
-grow with the row count.
+partial file. One process formats the cells in blocks of whole rows of
+at most 8194 cells (two heatmap rows), numpy giving each cell the bytes of
+Python's ``"%.17g" % v`` (Python formats the non-finite cells and those too
+near a rounding tie). Every block of a write is formatted in one workspace
+allocated for that write, 32 byte slots a cell, and its bytes go straight
+to the file, so memory does not grow with the row count.
 """
 
 import functools
@@ -14,7 +16,8 @@ import json
 import math
 import mmap
 import os
-from itertools import chain, islice, starmap
+import sys
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +43,11 @@ def atomic_write_text(path, text):
     """
     if isinstance(text, str):
         text = (text,)
+    _atomic_write(path, (line.encode() for line in text))
+
+
+def _atomic_write(path, blocks):
+    """Write an iterable of bytes to ``path`` as :func:`atomic_write_text` writes lines."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     # opened like any new file, mode 0o666 less the umask (tempfile.mkstemp
@@ -47,8 +55,8 @@ def atomic_write_text(path, text):
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -58,27 +66,68 @@ def atomic_write_text(path, text):
         raise
 
 
-# cells per formatted chunk (a heatmap row of 4097 is two): the formatter's
-# arrays then take a few hundred KB and stay in cache
-_CHUNK = 2560
+# cells per formatted block, two heatmap rows of 4097: each of the formatter's
+# arrays then takes 64 KB, and one op's operands stay in cache
+_BLOCK = 2 * 4097
+_WORD = np.dtype("<u8")  # 8 byte slots, the first the lowest byte, so shifts move along the text
 
 
-def _chunks(rows, width: int):
-    """Yield ``(cells, last)`` per run of at most ``_CHUNK`` cells of ``rows``: their
-    float64 values, and which of them end a row. Each row's length is checked."""
-    step = max(1, _CHUNK // width)
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biuf":
+class _Workspace:
+    """Every array :func:`_format_block` works in, for up to ``_BLOCK`` cells, allocated
+    once per write: ``text``, each cell's 32 byte slots, which ``bytearray.translate``
+    reads in place, and one array whose rows are the float64, int64, word and bool
+    temporaries. ``cells`` (float row 0) holds the block being formatted."""
+
+    def __init__(self):
+        self.text = bytearray(32 * _BLOCK)
+        self.words = np.frombuffer(self.text, _WORD).reshape(_BLOCK, 4)
+        rows = np.empty((25, _BLOCK))
+        self.floats, self.ints = rows[:11], rows[11:22].view(np.int64)
+        self.temps, self.flags = rows[22:24].view(_WORD), rows[24].view(bool).reshape(8, -1)[:2]
+        self.cells = self.floats[0]
+
+
+def _table(ws: _Workspace, rows, width: int, zs=None):
+    """Yield the CSV bytes of ``rows``, ``width`` cells each, one block at a time; with
+    ``zs``, a row is its z and ``width - 1`` cells of ``rows``. Blocks hold whole rows,
+    of at most ``_BLOCK`` cells; a wider row takes blocks of its own."""
+    if width < 1:
+        raise ValueError("the header is empty: a CSV needs at least one column")
+    for cells in _row_blocks(ws, rows, width, zs):
+        for start in range(0, cells.size, _BLOCK):
+            n = min(_BLOCK, cells.size - start)
+            if width > _BLOCK:
+                ws.cells[:n] = cells[start:start + n]
+            yield _format_block(ws, n, slice((width - 1 - start) % width, n, width))
+
+
+def _row_blocks(ws: _Workspace, rows, width: int, zs):
+    """Yield runs of whole rows as their float64 cells, flat: views of ``ws.cells``, or one
+    row at a time if it is wider than ``_BLOCK``. Each row's length is checked."""
+    per = max(1, _BLOCK // width)
+    block = (ws.cells[:per * width] if width <= _BLOCK else np.empty(width)).reshape(per, width)
+    if zs is None and isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biuf":
         if len(rows) and rows.shape[1] != width:
             raise ValueError(f"row 0 has {rows.shape[1]} values, expected {width}")
-        blocks = (np.asarray(rows[i:i + step], dtype=float) for i in range(0, len(rows), step))
-    else:
-        numbered = enumerate(rows)
-        batches = iter(lambda: list(islice(numbered, step)), [])
-        blocks = (np.array([_cells(i, row, width) for i, row in b], dtype=float) for b in batches)
-    for block in blocks:
-        parts = -(-block.size // _CHUNK)
-        last = np.tile(np.arange(width) == width - 1, len(block))
-        yield from zip(np.array_split(block.ravel(), parts), np.array_split(last, parts))
+        for start in range(0, len(rows), per):
+            part = rows[start:start + per]
+            block[:len(part)] = part
+            yield block[:len(part)].ravel()
+        return
+    j = 0
+    for i, row in enumerate(rows if zs is None else zip(zs, rows, strict=True)):
+        if zs is None:
+            block[j] = _cells(i, row, width)
+        else:
+            z, row = row
+            block[j, 0] = z
+            block[j, 1:] = _cells(i, row, width - 1)
+        j += 1
+        if j == per:
+            yield block.ravel()
+            j = 0
+    if j:
+        yield block[:j].ravel()
 
 
 def _cells(i: int, row, width: int) -> np.ndarray:
@@ -94,16 +143,18 @@ def _cells(i: int, row, width: int) -> np.ndarray:
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
 _EMIN = -1073  # np.frexp's exponent of 5e-324 = 0.5 * 2**-1073
+_COMMA = ord(",") << 56  # the separator, in a cell's last slot
+_NEWLINE = (ord(",") ^ ord("\n")) << 56  # what turns it into a newline
 
 
 def _words(strings) -> np.ndarray:
-    """One uint64 per string of up to 8 bytes, zero-padded: the same bytes in either byte order."""
-    return np.array([list(s.ljust(8, b"\0")) for s in strings], np.uint8).view(np.uint64).ravel()
+    """One word per string of up to 8 bytes, zero-padded."""
+    return np.array([list(s.ljust(8, b"\0")) for s in strings], np.uint8).view(_WORD).ravel()
 
 
 @functools.cache
 def _tables() -> tuple:
-    """Tables for :func:`_csv_text`, built on first use; Python's int / int rounds correctly."""
+    """Tables for :func:`_format_block`, built on first use; Python's int / int rounds correctly."""
     # 10**k = (hi + lo) * 2**s, hi and lo correctly rounded, for each k = 16 - E
     ks = range(-292, 341)
     pows = []
@@ -129,34 +180,48 @@ def _tables() -> tuple:
     s = s.astype(int) + np.repeat(e, 2)
     hi, lo = np.ldexp(hi, s), np.ldexp(lo, s)
     hi_a = _SPLIT * hi - (_SPLIT * hi - hi)
-    # one word per 4-digit chunk: its digits, each followed by an empty dot slot
+    # one word per 4-digit chunk, its digits in slots 0-3, and in slots 4-7
     four = np.arange(10000)
     chunk = np.zeros((10000, 8), np.uint8)
     for n, p in enumerate((1000, 100, 10, 1)):
-        chunk[:, 2 * n] = four // p % 10 + 48
-    zeros = sum(four % p == 0 for p in (10, 100, 1000, 10000))
-    # a cell's 48 byte slots, 6 words: sign, "0." and up to three zeros; 17 digits,
-    # each followed by a dot slot; "e+XXX" and the separator. Which digits show
-    # and what fills the other slots follows from nd (digits left once trailing
-    # zeros go) and decpt in [-4, 18], the exponent form at either end
-    mask, fill = np.zeros((2, 17, 23, 40), np.uint8)
+        chunk[:, n] = four // p % 10 + 48
+    low = chunk.view(_WORD)[:, 0]
+    # 23 times each 4-digit chunk's trailing zeros, and for the zero chunk a
+    # value above every count (see _format_block)
+    zeros = 23 * sum(four % p == 0 for p in (10, 100, 1000, 10000))
+    zeros[0] = 2**62
+    # a cell's 32 byte slots, 4 words: sign, "0." and up to three zeros, the
+    # first digit and a dot slot; 16 digits; a slot for the last digit, which
+    # a dot among the 16 shifts one slot on, "e+XXX" and the separator. Which
+    # digits show and where the dots go follows from nd (digits left once
+    # trailing zeros go) and decpt in [-4, 18], the exponent form at either
+    # end: the layout (17 - nd) * 23 + decpt + 4. Per layout, masks of the
+    # 16 digits that show and of those after a dot among them, and that dot
+    head = np.zeros((17, 23, 8), np.uint8)
+    show, move, dot = np.zeros((3, 17, 23, 16), np.uint8)
     for nd in range(1, 18):
         for decpt in range(-4, 19):
-            exponent, lead, cells = decpt in (-4, 18), -3 <= decpt <= 0, fill[nd - 1, decpt + 4]
-            shown = nd if exponent or lead else max(nd, decpt)
-            mask[nd - 1, decpt + 4, 6:6 + 2 * shown:2] = 0xFF
+            exponent, lead, at = decpt in (-4, 18), -3 <= decpt <= 0, (17 - nd, decpt + 4)
+            shown = np.arange(16) < (nd if exponent or lead else max(nd, decpt)) - 1
             if lead:
-                cells[1:3 - decpt] = list(b"0." + b"0" * -decpt)
-            if nd > 1 and exponent or nd > decpt >= 1:
-                cells[7 if exponent else 5 + 2 * decpt] = ord(".")
-    mask, fill = (t.reshape(-1, 40).view(np.uint64) for t in (mask, fill))
-    # word 0 per layout, sign and first digit; word 5 per exponent and separator
+                head[at][1:3 - decpt] = list(b"0." + b"0" * -decpt)
+            if nd > 1 and exponent or nd > decpt == 1:
+                head[at][7] = ord(".")
+            show[at] = 0xFF * shown
+            if nd > decpt >= 2:
+                move[at] = 0xFF * (shown & (np.arange(16) >= decpt - 1))
+                dot[at][decpt - 1] = ord(".")
+    show, move, dot = (t.reshape(-1, 2, 8).view(_WORD)[..., 0] for t in (show, move, dot))
+    # word 0 per layout, sign and first digit; per decimal exponent E, word 3
+    # and the layout's decpt column
     digit = _words([bytes(6) + bytes([d]) for d in b"0123456789"])
-    first = fill[:, :1, None] | _words([b"", b"-"])[:, None] | digit
-    seps = (b",", b"\n")
-    tail = _words([*seps, *(b"e%+03d%s" % (x, sep) for x in range(-324, 309) for sep in seps)])
-    tables = (e0, np.array(least)[e0 + 323 + 1], hi_a, hi - hi_a, lo, chunk.view(np.uint64)[:, 0],
-              zeros, first.ravel(), mask[:, 1:].T, fill[:, 1:].T, tail)
+    first = head.reshape(-1, 1, 8).view(_WORD) | _words([b"", b"-"])[:, None] | digit
+    exp10 = np.arange(-324, 309)
+    tail = _words([(b"\0" + (b"e%+03d" % x if x <= -5 or x >= 17 else b"")).ljust(7, b"\0") + b","
+                   for x in exp10])
+    tables = (e0, np.array(least)[e0 + 323 + 1], hi_a, hi - hi_a, lo, low, low << 32, zeros,
+              first.ravel(), show[:, 0], show[:, 1], move, dot, move.any(axis=1), tail,
+              np.clip(exp10, -5, 17) + 5)
     # each table gets an anonymous map of its own: kept for the run on malloc's
     # heap, it could split a free block there, which then grows instead
     maps = [np.frombuffer(mmap.mmap(-1, t.nbytes), t.dtype).reshape(t.shape) for t in tables]
@@ -165,9 +230,9 @@ def _tables() -> tuple:
     return maps
 
 
-def _csv_text(v: np.ndarray, last: np.ndarray) -> str:
-    """The CSV text of float64 cells ``v``, byte for byte ``"%.17g" % v`` each and a comma,
-    or a newline where ``last`` is set.
+def _format_block(ws: _Workspace, n: int, ends: slice) -> bytes:
+    """The CSV bytes of the float64 cells ``ws.cells[:n]``, byte for byte ``"%.17g" % v``
+    each and a comma, or a newline at the cells ``ends`` selects.
 
     With |v| = m * 2**e and E the decimal exponent (one compare with a tabled
     threshold), the 17 digits are m * 2**e * 10**(16-E) rounded to nearest.
@@ -178,63 +243,140 @@ def _csv_text(v: np.ndarray, last: np.ndarray) -> str:
     3e-15. Rounding r is therefore exact unless r lies within 1e-6 of a half;
     Python formats those cells, inf and nan, so no tie is decided here
     (compare Adams, "Ryu revisited", OOPSLA 2019). Tables fill each cell's
-    byte slots by the ``%g`` rules: exponent form iff decpt <= -4 or decpt >
-    17 (decpt = E + 1), no trailing zeros, at least two exponent digits. A
-    missing character is a zero byte, which one ``bytes.translate`` deletes.
+    32 byte slots by the ``%g`` rules: exponent form iff decpt <= -4 or decpt
+    > 17 (decpt = E + 1), no trailing zeros, at least two exponent digits; a
+    dot among the last 16 digits is placed by shifting the digits after it
+    one slot on. A missing character is a zero byte, which one
+    ``bytearray.translate`` deletes. The arrays are rows of ``ws``, but for
+    the few cells that have such a dot or that Python formats.
     """
-    e0, least, *scale, chunk, zeros, first, mask, fill, tail = _tables()
-    a = np.abs(v)
-    finite = np.isfinite(a)
-    m, e = np.frexp(np.where(finite, a, 1.0))
-    i = e - _EMIN
-    big = a >= least.take(i)
-    exp10 = e0.take(i) + big
-    hi_a, hi_b, lo = (t.take(2 * i + big) for t in scale)
-    p = m * (hi_a + hi_b)
-    m_a = _SPLIT * m - (_SPLIT * m - m)
-    m_b = m - m_a
-    r = (((m_a * hi_a - p) + m_a * hi_b + m_b * hi_a) + m_b * hi_b) + m * lo
-    k = np.rint(r)
-    by_python = ~finite | (np.abs(r - k) > 0.5 - 1e-6)
-    digits = p.astype(np.int64) + k.astype(np.int64)
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    exp10 += carry
-    exp10[a == 0] = 0
+    (e0, least, hi_a, hi_b, lo, low, high, zeros, first,
+     show, show_2, move, dot, split, tail, column) = _tables()
+    v, a, m, t, h1, h2, h3, p, s1, s2, r = ws.floats[:, :n]
+    i, exp10, digits, q1, q2, c1, c2, c3, c4, trailing, layout = ws.ints[:, :n]
+    u1, u2 = ws.temps[:, :n]
+    ok, flag = ws.flags[:, :n]
+    words = ws.words[:n]
+    # ok marks the cells numpy formats: finite, and (below) not near a tie
+    np.abs(v, out=a)
+    np.less(a, math.inf, out=ok)
+    # a non-finite cell, which Python formats, takes the largest double's path
+    np.fmin(a, sys.float_info.max, out=a)
+    np.frexp(a, out=(m, i))
+    i -= _EMIN
+    # every take clips: with the default mode="raise", numpy buffers out= in a temporary
+    least.take(i, out=t, mode="clip")
+    np.greater_equal(a, t, out=flag)
+    e0.take(i, out=exp10, mode="clip")
+    exp10 += flag
+    i += i
+    i += flag
+    hi_a.take(i, out=h1, mode="clip")
+    hi_b.take(i, out=h2, mode="clip")
+    lo.take(i, out=h3, mode="clip")
+    np.add(h1, h2, out=p)
+    p *= m
+    # m = s1 + s2, halves of 26 bits
+    np.multiply(m, _SPLIT, out=t)
+    np.subtract(t, m, out=s2)
+    np.subtract(t, s2, out=s1)
+    np.subtract(m, s1, out=s2)
+    # r = (((s1 h1 - p) + s1 h2 + s2 h1) + s2 h2) + m lo, in that order
+    np.multiply(s1, h1, out=r)
+    r -= p
+    for x, y in ((s1, h2), (s2, h1), (s2, h2), (m, h3)):
+        np.multiply(x, y, out=t)
+        r += t
+    np.rint(r, out=h1)
+    np.subtract(r, h1, out=t)
+    np.abs(t, out=t)
+    np.less_equal(t, 0.5 - 1e-6, out=flag)
+    ok &= flag
+    np.copyto(digits, p, casting="unsafe")
+    np.copyto(q1, h1, casting="unsafe")
+    digits += q1
+    np.equal(digits, 10**17, out=flag)
+    np.copyto(digits, 10**16, where=flag)
+    exp10 += flag
+    np.equal(a, 0.0, out=flag)
+    np.copyto(exp10, 0, where=flag)
+    # the index of E in the tables per decimal exponent
+    exp10 += 324
     # digits = d0 c1 c2 c3 c4: a leading digit and four 4-digit chunks
-    high, low = np.divmod(digits, 10**8)
-    d0, high = np.divmod(high, 10**8)
-    chunks = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
-    trailing = zeros.take(chunks[0])
-    for c in chunks[1:]:
-        trailing = np.where(c == 0, trailing + 4, zeros.take(c))
-    decpt = exp10 + 1
-    layout = (16 - trailing) * 23 + np.clip(decpt, -4, 18) + 4
-    words = np.empty((v.size, 6), np.uint64)
-    words[:, 0] = first.take((layout * 2 + np.signbit(v)) * 10 + d0)
-    for n, c in enumerate(chunks):
-        words[:, n + 1] = (chunk.take(c) & mask[n].take(layout)) | fill[n].take(layout)
-    exponent = ((decpt <= -4) | (decpt > 17)) & ~by_python
-    words[:, 5] = tail.take(exponent * 2 * (exp10 + 325) + last)
-    # a cell Python formats is a marker byte and its separator, the marker then replaced
-    words[by_python, :5] = [1, 0, 0, 0, 0]
-    text = words.tobytes().translate(None, b"\0").decode("ascii")
-    if not by_python.any():
+    _divmod(digits, 10**8, q1, q2)
+    _divmod(q1, 10**8, digits, c4)
+    _divmod(c4, 10**4, c1, c2)
+    _divmod(q2, 10**4, c3, c4)
+    # 23 times the trailing zeros: a zero chunk adds 4 to those before it,
+    # any other gives its own count, below 4
+    trailing.fill(0)
+    for c in (c1, c2, c3, c4):
+        trailing += 23 * 4
+        zeros.take(c, out=q2, mode="clip")
+        np.minimum(trailing, q2, out=trailing)
+    column.take(exp10, out=layout, mode="clip")
+    layout += trailing
+    np.signbit(v, out=flag)
+    np.multiply(layout, 2, out=q2)
+    q2 += flag
+    q2 *= 10
+    q2 += digits
+    # a take into a strided out costs more than a take and a strided copy
+    first.take(q2, out=u1, mode="clip")
+    words[:, 0] = u1
+    # words 1 and 2: the 16 digits, those that show
+    for w, c_low, c_high, shown in ((1, c1, c2, show), (2, c3, c4, show_2)):
+        low.take(c_low, out=u1, mode="clip")
+        high.take(c_high, out=u2, mode="clip")
+        u1 |= u2
+        shown.take(layout, out=u2, mode="clip")
+        np.bitwise_and(u1, u2, out=words[:, w])
+    tail.take(exp10, out=u1, mode="clip")
+    words[:, 3] = u1
+    # a dot among the 16 digits: those after it move one slot on, the last
+    # of word 1 into word 2 and the last of word 2 into word 3
+    split.take(layout, out=flag, mode="clip")
+    if flag.any():
+        at = np.flatnonzero(flag)
+        kind = layout[at]
+        region = words[at, 1:]
+        moved = region[:, :2] & move[kind]
+        region[:, :2] ^= moved
+        region[:, :2] |= moved << 8 | dot[kind]
+        region[:, 1:] |= moved >> 56
+        words[at, 1:] = region
+    marked = None
+    if not ok.all():
+        # a cell Python formats is a marker byte and its separator, the marker then replaced
+        marked = np.flatnonzero(~ok)
+        words[marked] = [1, 0, 0, _COMMA]
+    words[ends, 3] ^= _NEWLINE
+    text = (ws.text if n == _BLOCK else ws.text[:32 * n]).translate(None, b"\0")
+    if marked is None:
         return text
-    parts, cells = text.split("\x01"), ["%.17g" % x for x in v[by_python].tolist()]
-    return "".join(chain.from_iterable(zip(parts, cells))) + parts[-1]
+    parts, cells = text.split(b"\x01"), [b"%.17g" % x for x in v[marked].tolist()]
+    return b"".join(chain.from_iterable(zip(parts, cells))) + parts[-1]
+
+
+def _divmod(x, d: int, q, r):
+    """q, r = divmod(x, d) for int64 ``x`` >= 0, ``q`` and ``r`` other arrays than ``x``:
+    numpy divides by a constant with a multiply, but np.divmod and np.remainder
+    divide in hardware, several times slower."""
+    np.floor_divide(x, d, out=q)
+    np.multiply(q, d, out=r)
+    np.subtract(x, r, out=r)
 
 
 def write_csv(path, header, rows):
-    lines = starmap(_csv_text, _chunks(rows, len(header)))
-    atomic_write_text(path, chain([",".join(header) + "\n"], lines))
+    table = _table(_Workspace(), rows, len(header))
+    _atomic_write(path, chain([(",".join(header) + "\n").encode()], table))
 
 
 def write_heatmap_csv(path, x, zs, matrix):
     """Matrix of renormalized intensity: rows are z samples, columns grid points."""
-    header = "z," + "".join(starmap(_csv_text, _chunks([x], len(x))))
-    rows = (np.concatenate(([z], row)) for z, row in zip(zs, matrix, strict=True))
-    atomic_write_text(path, chain([header], starmap(_csv_text, _chunks(rows, len(x) + 1))))
+    ws = _Workspace()
+    header = b"z," + b"".join(_table(ws, [x], len(x)))
+    _atomic_write(path, chain([header], _table(ws, matrix, len(x) + 1, zs)))
 
 
 def _flatten(prefix: str, value, out: list):

@@ -3,8 +3,6 @@
 import math
 import os
 import threading
-from itertools import starmap
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -94,8 +92,15 @@ def failing_rows():
             ValueError,
             "argument 2 is longer",
         ),
+        (lambda p: write_csv(p, (), [(), ()]), ValueError, "header is empty"),
+        (
+            lambda p: write_heatmap_csv(p, np.zeros(0), [0.0, 1.0], np.zeros((2, 0))),
+            ValueError,
+            "header is empty",
+        ),
     ],
-    ids=["short_row", "long_row", "source_raises", "heatmap_row", "heatmap_z"],
+    ids=["short_row", "long_row", "source_raises", "heatmap_row", "heatmap_z", "no_columns",
+         "heatmap_no_points"],
 )
 def test_rejected_write_leaves_target_alone(tmp_path, write, error, match):
     path = tmp_path / "t.csv"
@@ -113,7 +118,7 @@ def reference(row) -> str:
 
 def formatted(rows, width) -> str:
     """The text the writers stream for ``rows``, block by block."""
-    return "".join(starmap(outputs._csv_text, outputs._chunks(rows, width)))
+    return b"".join(outputs._table(outputs._Workspace(), rows, width)).decode()
 
 
 def test_random_bit_patterns_match_python():
@@ -177,11 +182,18 @@ def test_cells_that_are_no_real_numbers_raise(tmp_path, cell):
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 9, 301])
-def test_heatmap_chunks_match_python(tmp_path, rows):
-    # 4097 cells a row, two chunks each, and every row starts with VALUES
+# rows of 4097 cells, two to a block, and of 257, many to a block: one below,
+# at and one above a block, and more; and rows wider than a block
+@pytest.mark.parametrize("points, rows", [
+    *(pytest.param(4096, rows, id=str(rows)) for rows in (1, 2, 3, 9, 301)),
+    *(pytest.param(256, outputs._BLOCK // 257 + d, id=f"256x{outputs._BLOCK // 257 + d}")
+      for d in (-1, 0, 1)),
+    pytest.param(outputs._BLOCK, 2, id=f"{outputs._BLOCK}x2"),
+])
+def test_heatmap_chunks_match_python(tmp_path, points, rows):
+    # every row starts with VALUES
     rng = np.random.default_rng(rows)
-    x = np.linspace(-20.0, 20.0, 4096, endpoint=False)
+    x = np.linspace(-20.0, 20.0, points, endpoint=False)
     zs = np.linspace(0.0, 3.0, rows)
     matrix = rng.random((rows, x.size)) * np.exp(-800.0 * rng.random((rows, x.size)))
     matrix[:, :len(VALUES)] = np.array(VALUES, dtype=float)
@@ -191,35 +203,46 @@ def test_heatmap_chunks_match_python(tmp_path, rows):
     assert path.read_text() == "z," + reference(x) + "".join(lines)
 
 
-def fail_in_second_chunk(monkeypatch, error, calls_before):
-    """Make the formatter raise ``error`` on the second chunk after ``calls_before`` others."""
-    chunks = []
-    csv_text = outputs._csv_text
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "rows"])
+def test_row_wider_than_a_block_matches_python(tmp_path, as_list):
+    # each row spans three blocks, a newline in the third
+    rng = np.random.default_rng(3)
+    table = rng.random((3, 2 * outputs._BLOCK + 5)) * 10.0 ** rng.integers(-30, 30, (3, 1))
+    table[:, -len(VALUES):] = np.array(VALUES, dtype=float)
+    path = tmp_path / "t.csv"
+    write_csv(path, ["c"] * table.shape[1], table.tolist() if as_list else table)
+    assert read_lines(path)[1:] == [reference(row)[:-1] for row in table.tolist()]
 
-    def second_chunk_fails(cells, last):
-        chunks.append(len(cells))
-        if len(chunks) == calls_before + 2:
+
+def fail_in_second_block(monkeypatch, error, calls_before):
+    """Make the formatter raise ``error`` on the second block after ``calls_before`` others."""
+    blocks = []
+    format_block = outputs._format_block
+
+    def second_block_fails(ws, n, ends):
+        blocks.append(n)
+        if len(blocks) == calls_before + 2:
             raise error
-        return csv_text(cells, last)
+        return format_block(ws, n, ends)
 
-    monkeypatch.setattr(outputs, "_csv_text", second_chunk_fails)
-    return chunks
+    monkeypatch.setattr(outputs, "_format_block", second_block_fails)
+    return blocks
 
 
-@pytest.mark.parametrize("error", [RuntimeError("chunk failed"), KeyboardInterrupt()],
+@pytest.mark.parametrize("error", [RuntimeError("block failed"), KeyboardInterrupt()],
                          ids=["raises", "interrupted"])
 @pytest.mark.parametrize("heatmap", [False, True], ids=["csv", "heatmap"])
 def test_failure_in_second_chunk_leaves_target_alone(tmp_path, monkeypatch, error, heatmap):
     path = tmp_path / "t.csv"
     path.write_bytes(b"old,bytes\n")
-    # the heatmap's header is formatted first, in two chunks, then each row in two
-    chunks = fail_in_second_chunk(monkeypatch, error, calls_before=2 * heatmap)
+    # the heatmap's header is formatted first, in one block, then its rows two to a block
+    blocks = fail_in_second_block(monkeypatch, error, calls_before=heatmap)
     with pytest.raises(type(error)):
         if heatmap:
             write_heatmap_csv(path, np.zeros(4096), np.arange(20.0), np.ones((20, 4096)))
         else:
             write_csv(path, ("a", "b"), np.ones((40000, 2)))
-    assert chunks == ([2048, 2048, 2049, 2048] if heatmap else [2560, 2560])
+    assert blocks == ([4096, 8194, 8194] if heatmap else [8194, 8194])
     assert path.read_bytes() == b"old,bytes\n"
     assert os.listdir(tmp_path) == ["t.csv"]
 
