@@ -5,8 +5,8 @@
     gainbeam list                     list built-in scenarios
     gainbeam filter <config.json>     run a width-filtering experiment
 
-Exit codes: 0 success, 1 config error, 2 numerical abort (width collapse
-or overflow), 3 I/O error.
+Exit codes: 0 success, 1 config error (a run too large for memory too),
+2 numerical abort (width collapse or overflow), 3 I/O error.
 """
 
 import argparse
@@ -134,6 +134,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed; a bare MemoryError has none
+        print(f"config error: the run does not fit in memory ({str(exc) or 'no detail'}); "
+              "lower grid.n_points, z_max or the sample count", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -122,9 +122,6 @@ class Trajectory:
             )
         ]
 
-    def __iter__(self):
-        return iter(self.samples)
-
     @property
     def mean_q(self) -> np.ndarray:
         """The center column q, under the name a grid run gives it."""

@@ -145,7 +145,8 @@ class GridObservables:
 
 @dataclass
 class GridRun:
-    """Samples of a run: a column per observable, an intensity row each or None, the last field."""
+    """Samples of a run: a column per observable, an intensity row each or None, the last
+    field. It is read as a Trajectory is, by :meth:`columns` and :meth:`intensity_rows`."""
 
     z: np.ndarray
     norm: np.ndarray
@@ -158,6 +159,19 @@ class GridRun:
 
     def __len__(self) -> int:
         return len(self.z)
+
+    def columns(self, hbar: float = 1.0) -> dict:
+        """The observable columns in CSV order, physical at any hbar."""
+        return {name: getattr(self, name) for name in _COLUMNS}
+
+    def intensity_rows(self, x: np.ndarray, hbar: float, rows) -> np.ndarray:
+        """Rows (a slice or index array) of the stored intensity, on the run's own x and hbar."""
+        if self.intensity is None:
+            raise ValueError("the run was propagated with intensity=False: it holds no rows")
+        return self.intensity[rows]
+
+
+_COLUMNS = ("z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass")
 
 
 def _geometry(spec: GridSpec):

@@ -8,9 +8,10 @@ initial beam:
 * ``oracle``   -- closed forms (quadratic_linear potentials only).
 
 Each propagator returns a record of its sampled z values, a Trajectory
-or a GridRun, which gives its own CSV columns and intensity rows; pairs of
-propagators are compared on the z values they share. Outputs are CSV
-files plus a manifest that can reconstruct the configuration exactly.
+or a GridRun, both read one way: ``columns(hbar)`` and ``intensity_rows(x,
+hbar, rows)``. Pairs of propagators are compared on the z values they
+share. Outputs are CSV files plus a manifest that can reconstruct the
+configuration exactly.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .closed_forms import quadratic_trajectory, width_drift_rate
 from .config import FilterConfig, ScenarioConfig, build_potential
-from .dynamics import GaussianParams, Trajectory, integrate, reconstruct_wavefunction
+from .dynamics import GaussianParams, integrate, reconstruct_wavefunction
 from .errors import ConfigError, NumericalAbortError
 # bench/tracing.py wraps observables and renormalized_intensity by name here
 from .grid import observables, propagate, renormalized_intensity, schedule  # noqa: F401
@@ -45,8 +46,8 @@ __all__ = [
 
 NORM_FLOOR_FACTOR = 1e-12
 
+# bench/layers.py tabulates Trajectory.columns() in this order
 TRAJECTORY_COLUMNS = ("z", "q", "p", "re_b", "im_b", "norm", "alpha", "delta_q", "delta_p")
-GRID_COLUMNS = ("z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass")
 
 
 # rows of an intensity formed at once where they are read: 512 KiB at 4096 points
@@ -63,8 +64,8 @@ class ObservableSeries:
 
     ``intensity`` is a row source: a function from a row selection (a slice
     or an index array) to those rows of the renormalized intensity on the
-    positions ``x``, or None: a Trajectory's ``intensity_rows`` or a GridRun's
-    stored rows. The ``intensity`` attribute forms all rows on each read.
+    positions ``x``, or None: a record's ``intensity_rows`` at x. The
+    ``intensity`` attribute forms all rows on each read.
     """
 
     def __init__(self, z, mean_q, norm, intensity: Callable | None = None, x=None):
@@ -84,20 +85,6 @@ class ObservableSeries:
             self.z[indices], self.mean_q[indices], self.norm[indices],
             None if self.rows is None else lambda sel: self.rows(indices[sel]), self.x,
         )
-
-
-def _observe(record, config, with_intensity: bool):
-    """A Trajectory's or a GridRun's ObservableSeries and CSV table (header, rows)."""
-    hbar = config.constants.hbar
-    ansatz = isinstance(record, Trajectory)
-    header = TRAJECTORY_COLUMNS if ansatz else GRID_COLUMNS
-    columns = record.columns(hbar) if ansatz else vars(record)
-    x = rows = None
-    if with_intensity:
-        x = config.grid_spec().positions()
-        rows = partial(record.intensity_rows, x, hbar) if ansatz else record.intensity.__getitem__
-    series = ObservableSeries(record.z, record.mean_q, record.norm, rows, x)
-    return series, header, np.column_stack([columns[name] for name in header])
 
 
 @dataclass
@@ -174,7 +161,7 @@ class ScenarioResult:
     series: dict
     reports: dict
     aborts: list
-    trajectories: dict
+    records: dict  # propagator name -> Trajectory or GridRun, an aborted run's partial too
     out_dir: str | None
     files: list
 
@@ -256,33 +243,28 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
     potential non-finite on the grid) is raised as ConfigError.
     """
     potential = config.build_potential()
-    initial = GaussianParams(
-        q=config.initial.q0,
-        p=config.initial.p0,
-        b=config.initial.b0,
-        norm=config.initial.norm0,
-        alpha=config.initial.alpha0,
-    )
-    with_intensity = _with_intensity(config)
+    beam, hbar = config.initial, config.constants.hbar
+    initial = GaussianParams(beam.q0, beam.p0, beam.b0, beam.norm0, beam.alpha0)
 
-    trajectories: dict = {}
-    series: dict = {}
-    tables: dict = {}
+    records: dict = {}
     aborts: list = []
     for name, prop in _PROPAGATORS.items():
         if name not in config.propagators:
             continue
         try:
-            record = prop.run(config, initial, potential)
+            records[name] = prop.run(config, initial, potential)
         except NumericalAbortError as exc:
             aborts.append(PropagatorAbort(name, str(exc), exc.z))
-            record = exc.partial
+            records[name] = exc.partial
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        series[name], header, rows = _observe(record, config, with_intensity)
-        tables[name] = (header, rows)
-        if isinstance(record, Trajectory):
-            trajectories[name] = record
+    x = config.grid_spec().positions() if _with_intensity(config) else None
+    series = {
+        name: ObservableSeries(
+            r.z, r.mean_q, r.norm, None if x is None else partial(r.intensity_rows, x, hbar), x
+        )
+        for name, r in records.items()
+    }
 
     reports: dict = {}
     aborted = {a.propagator for a in aborts}
@@ -296,12 +278,16 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
 
     files: list = []
     if out_dir is not None:
-        outputs = [(_PROPAGATORS[name].csv, write_csv, table) for name, table in tables.items()]
+        outputs = []
+        for name, record in records.items():
+            cols = record.columns(hbar)
+            table = np.column_stack([*cols.values()])
+            outputs.append((_PROPAGATORS[name].csv, write_csv, (list(cols), table)))
         if config.heatmap:
             outputs += [
                 (f"{name}_heatmap.csv", write_heatmap_csv,
                  (s.x, s.z, chain.from_iterable(map(s.rows, _blocks(len(s.z))))))
-                for name, s in series.items() if s.rows is not None
+                for name, s in series.items()
             ]
         outputs += [
             (f"comparison_{name_a}_vs_{name_b}.csv", write_csv,
@@ -309,7 +295,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
             for (name_a, name_b), rep in reports.items()
         ]
         derived = {}
-        for name in tables:
+        for name in records:
             n_steps, dz_eff, _ = _schedule(config, name)
             derived[_PROPAGATORS[name].step] = {"n_steps": n_steps, "dz_eff": dz_eff}
         if "grid" in derived:
@@ -323,7 +309,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         series=series,
         reports=reports,
         aborts=aborts,
-        trajectories=trajectories,
+        records=records,
         out_dir=out_dir,
         files=files,
     )

@@ -24,7 +24,6 @@ import numpy as np
 from .config import FilterConfig, ScenarioConfig
 
 __all__ = [
-    "atomic_write_text",
     "write_csv",
     "write_heatmap_csv",
     "write_manifest",
@@ -34,20 +33,13 @@ __all__ = [
 MANIFEST_FORMAT = "gainbeam-manifest/1"
 
 
-def atomic_write_text(path, text):
-    """Write ``text``, one string or an iterable of lines, to ``path`` atomically.
+def _atomic_write(path, blocks):
+    """Write an iterable of bytes to ``path`` atomically.
 
-    The lines are streamed into a temp file in the target directory, which
+    The blocks are streamed into a temp file in the target directory, which
     then replaces ``path``; on any exception the temp file is removed and
     an existing ``path`` keeps its bytes.
     """
-    if isinstance(text, str):
-        text = (text,)
-    _atomic_write(path, (line.encode() for line in text))
-
-
-def _atomic_write(path, blocks):
-    """Write an iterable of bytes to ``path`` as :func:`atomic_write_text` writes lines."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     # opened like any new file, mode 0o666 less the umask (tempfile.mkstemp
@@ -402,7 +394,7 @@ def write_manifest(path, config: ScenarioConfig | FilterConfig, tool_version: st
             _flatten(section, data, pairs)
     lines = [f"format = {MANIFEST_FORMAT}", f"tool = gainbeam/{tool_version}"]
     lines.extend(f"{key} = {val}" for key, val in pairs)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, [("\n".join(lines) + "\n").encode()])
 
 
 def _unflatten(pairs: dict) -> dict:

@@ -67,8 +67,8 @@ class TestCriterion1StationaryBeam:
     def test_1a_gaussian_quadratic(self):
         t0 = time.perf_counter()
         traj = integrate(GaussianParams(0.0, -1.0, 1j), QUAD, 20.0, dz=1e-3, sample_stride=100)
-        max_q = max(abs(g.q) for _, g in traj.samples)
-        max_n = max(abs(g.norm - 1.0) for _, g in traj.samples)
+        max_q = max(abs(q) for q in traj.q.tolist())
+        max_n = max(abs(norm - 1.0) for norm in traj.norm.tolist())
         check(
             "1a gaussian/quadratic stationary",
             max_q < 1e-6 and max_n < 1e-6,
@@ -92,7 +92,7 @@ class TestCriterion1StationaryBeam:
     def test_1c_gaussian_tanh(self):
         t0 = time.perf_counter()
         traj = integrate(GaussianParams(0.0, -1.0, 1j), TANH10, 20.0, dz=1e-3, sample_stride=100)
-        max_q = max(abs(g.q) for _, g in traj.samples)
+        max_q = max(abs(q) for q in traj.q.tolist())
         check(
             "1c gaussian/tanh near-stationary",
             max_q < 0.05,
@@ -105,13 +105,13 @@ class TestCriterion2QuadraticOracle:
         t0 = time.perf_counter()
         worst = {"q": 0.0, "p": 0.0, "b": 0.0, "norm": 0.0}
         for g0 in random_initial_conditions():
-            traj = integrate(g0, QUAD, 10.0, dz=1e-3, sample_stride=10**9)
-            _, got = traj.samples[-1]
-            (_, want), = quadratic_trajectory(g0, QUAD, [10.0])
-            worst["q"] = max(worst["q"], abs(got.q - want.q))
-            worst["p"] = max(worst["p"], abs(got.p - want.p))
-            worst["b"] = max(worst["b"], abs(got.b - want.b))
-            worst["norm"] = max(worst["norm"], abs(got.norm - want.norm) / want.norm)
+            got = integrate(g0, QUAD, 10.0, dz=1e-3, sample_stride=10**9)
+            want = quadratic_trajectory(g0, QUAD, [10.0])
+            b_got, b_want = (complex(t.re_b[-1], t.im_b[-1]) for t in (got, want))
+            worst["q"] = max(worst["q"], abs(got.q[-1] - want.q[-1]))
+            worst["p"] = max(worst["p"], abs(got.p[-1] - want.p[-1]))
+            worst["b"] = max(worst["b"], abs(b_got - b_want))
+            worst["norm"] = max(worst["norm"], abs(got.norm[-1] - want.norm[-1]) / want.norm[-1])
         elapsed = time.perf_counter() - t0
         check(
             "2a oracle vs gaussian-RK4 at z=10",
@@ -149,10 +149,13 @@ class TestCriterion2QuadraticOracle:
             psi0 = reconstruct_wavefunction(g0, spec)
             state = propagate(psi0, QUAD, 10.0, dz=1e-3, sample_stride=10**9).final
             traj = integrate(g0, QUAD, 10.0, dz=1e-3, sample_stride=10**9)
-            alpha = traj.samples[-1][1].alpha
-            (_, want), = quadratic_trajectory(g0, QUAD, [10.0])
+            want = quadratic_trajectory(g0, QUAD, [10.0])
             ref = reconstruct_wavefunction(
-                GaussianParams(want.q, want.p, want.b, want.norm, alpha), spec, 10.0
+                GaussianParams(
+                    want.q.item(), want.p.item(), complex(want.re_b.item(), want.im_b.item()),
+                    want.norm.item(), traj.alpha[-1].item(),
+                ),
+                spec, 10.0,
             )
             err = float(
                 np.linalg.norm(state.amplitudes - ref.amplitudes)
@@ -245,10 +248,11 @@ class TestCriterion5HermitianLimit:
     def test_conservation(self, potential, label, grid_half_width):
         g0 = GaussianParams(-2.0, 0.5, 1j)
         traj = integrate(g0, potential, 20.0, dz=1e-3, sample_stride=200)
-        norm_dev = max(abs(g.norm - 1.0) for _, g in traj.samples)
+        norm_dev = max(abs(norm - 1.0) for norm in traj.norm.tolist())
         e0 = 0.5 * g0.p**2 + potential.sample(g0.q).v_real
         energy_dev = max(
-            abs(0.5 * g.p**2 + potential.sample(g.q).v_real - e0) for _, g in traj.samples
+            abs(0.5 * p**2 + potential.sample(q).v_real - e0)
+            for q, p in zip(traj.q.tolist(), traj.p.tolist())
         )
         check(f"5 gaussian norm constant ({label})", norm_dev < 1e-9, f"dev={norm_dev:.1e}")
         check(
@@ -275,7 +279,7 @@ class TestCriterion6SemiclassicalTrend:
             qs_grid = propagate(
                 reconstruct_wavefunction(g0, spec), pot, 15.0, dz=1e-3, sample_stride=100
             ).mean_q
-            qs_gauss = np.array([g.q for _, g in traj.samples])
+            qs_gauss = traj.q
             sups[eta] = float(np.abs(qs_gauss - qs_grid).max())
         elapsed = time.perf_counter() - t0
         detail = ", ".join(f"eta={k:g}: {v:.3e}" for k, v in sups.items())
@@ -329,7 +333,7 @@ class TestCriterion8WidthDependentSplit:
     @pytest.mark.parametrize("b0,expected", CASES, ids=["i_half", "i", "2i"])
     def test_gaussian_slope(self, b0, expected):
         traj = integrate(GaussianParams(0.0, -1.0, b0), TANH10, self.Z1, dz=1e-3)
-        slope = (traj.samples[-1][1].q - 0.0) / self.Z1
+        slope = (traj.q[-1].item() - 0.0) / self.Z1
         check(
             f"8 gaussian slope sign for b0={b0}",
             self.classify(slope) == expected,

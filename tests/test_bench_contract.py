@@ -12,6 +12,7 @@ import inspect
 import os
 
 import numpy as np
+import pytest
 
 from gainbeam import cli, closed_forms, config, dynamics, grid, harness, outputs
 from gainbeam.potentials import QuadraticLinear
@@ -61,6 +62,36 @@ def test_trajectory_reads():
     assert all(len(columns[name]) == 11 for name in harness.TRAJECTORY_COLUMNS)
     assert len(traj.samples) == 11
     assert np.array_equal(traj.zs, columns["z"])
+
+
+@pytest.mark.parametrize("other", ["grid", "oracle"])
+def test_records_read_as_the_series(other):
+    # bench/workloads.py reads z, mean_q, norm, x and intensity off
+    # series[name]; records[name] gives the same values, its rows through
+    # intensity_rows(x, hbar, rows), and a trajectory's columns() are
+    # TRAJECTORY_COLUMNS in order
+    cfg = config.ScenarioConfig.from_dict({
+        "schema_version": 1,
+        "name": "contract",
+        "potential": {"kind": "quadratic_linear", "omega": 1.0, "gamma": 1.0},
+        "initial": {"q0": 0.3, "p0": -0.2, "b0": [0.1, 1.0]},
+        "propagators": ["gaussian", other],
+        "z_max": 0.1,
+        "gaussian": {"dz": 1e-3},
+        "grid": {"half_width": 8.0, "n_points": 256, "dz": 1e-3},
+        "sample_stride": 10,
+        "constants": {"hbar": 0.5, "n_zero": 1.0},
+    })
+    result = harness.run_scenario(cfg)
+    assert result.records.keys() == result.series.keys() == {"gaussian", other}
+    for name, series in result.series.items():
+        record = result.records[name]
+        for column in ("z", "mean_q", "norm"):
+            assert np.array_equal(getattr(record, column), getattr(series, column))
+        for rows in (slice(None), slice(2, 5), np.array([10, 0, 3])):
+            got = record.intensity_rows(series.x, cfg.constants.hbar, rows)
+            assert np.array_equal(got, series.intensity[rows])
+    assert tuple(result.records["gaussian"].columns()) == harness.TRAJECTORY_COLUMNS
 
 
 def test_filter_report_reads():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gainbeam import cli
 from gainbeam.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -254,6 +255,29 @@ class TestRun:
         assert "config.z_max = 2.0" in manifest
         assert "config.gaussian.dz = 0.002" in manifest
         assert "config.grid.n_points = 512" in manifest
+
+
+@pytest.mark.parametrize("command", ["run", "run-builtin", "filter"])
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8.00 GiB")])
+def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command, error):
+    def fail(config, out_dir=None):
+        raise error
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    monkeypatch.setattr(cli, "filter_experiment", fail)
+    if command == "filter":
+        doc = {"schema_version": 1, "name": "oom", "widths": [[0.0, 0.5], [0.0, 2.0]],
+               "z_max": 0.01, "dz": 1e-3, "probe_z": [0.01]}
+        target = tmp_path / "filter.json"
+        target.write_text(json.dumps(doc))
+    else:
+        target = write_config(tmp_path / "cfg.json") if command == "run" else "fig2a"
+    assert main([command, str(target), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: the run does not fit in memory")
+    assert captured.err.count("\n") == 1
+    assert str(error) in captured.err
 
 
 class TestBuiltins:

@@ -205,11 +205,13 @@ class TestStationaryWidthSolution:
             pot = QuadraticLinear(omega=omega, gamma=gamma)
             g0 = GaussianParams(0.8, -0.4, 1j * omega)
             traj = integrate(g0, pot, 6.0, dz=5e-4, sample_stride=3000)
-            for z, g in traj.samples:
+            for z, got_q, got_p, got_n in zip(
+                traj.z.tolist(), traj.q.tolist(), traj.p.tolist(), traj.norm.tolist()
+            ):
                 q, p, n = stationary_width(0.8, -0.4, gamma, omega, z)
-                assert g.q == pytest.approx(q, abs=1e-9)
-                assert g.p == pytest.approx(p, abs=1e-9)
-                assert g.norm == pytest.approx(n, rel=1e-8)
+                assert got_q == pytest.approx(q, abs=1e-9)
+                assert got_p == pytest.approx(p, abs=1e-9)
+                assert got_n == pytest.approx(n, rel=1e-8)
 
 
 class TestCenterEvolution:
@@ -259,8 +261,8 @@ class TestCenterEvolution:
                 GaussianParams(q0, p0, b0), pot, 20.0, dz=1e-4, sample_stride=2500
             )
             sol = center_solution(q0, p0, b0, gamma, omega)
-            for z, g in traj.samples:
-                worst = max(worst, abs(float(sol.q(z)) - g.q))
+            for z, q in zip(traj.z.tolist(), traj.q.tolist()):
+                worst = max(worst, abs(float(sol.q(z)) - q))
         assert worst < 1e-7
 
     def test_ode_residuals_of_both_variants(self):
@@ -375,25 +377,28 @@ class TestQuadraticTrajectory:
         pot = QuadraticLinear(omega=1.0, gamma=1.0)
         g0 = GaussianParams(-1.2, 0.8, 0.5 + 1.3j, norm=2.0, alpha=0.25)
         traj = integrate(g0, pot, 8.0, dz=2e-4, sample_stride=5000)
-        closed = quadratic_trajectory(g0, pot, [z for z, _ in traj.samples])
-        for (_, got), (_, want) in zip(traj.samples, closed):
-            assert abs(got.q - want.q) < 1e-9
-            assert abs(got.p - want.p) < 1e-9
-            assert abs(got.b - want.b) < 1e-9
-            assert abs(got.norm - want.norm) < 1e-8 * want.norm
-            assert abs(got.alpha - want.alpha) < 1e-8
+        want = quadratic_trajectory(g0, pot, traj.z.tolist())
+        for i in range(len(traj.z)):
+            assert abs(traj.q[i] - want.q[i]) < 1e-9
+            assert abs(traj.p[i] - want.p[i]) < 1e-9
+            b_got, b_want = (complex(t.re_b[i], t.im_b[i]) for t in (traj, want))
+            assert abs(b_got - b_want) < 1e-9
+            assert abs(traj.norm[i] - want.norm[i]) < 1e-8 * want.norm[i]
+            assert abs(traj.alpha[i] - want.alpha[i]) < 1e-8
 
     def test_columns_are_the_scalar_closed_forms(self):
         pot = QuadraticLinear(omega=0.7, gamma=0.4)
         g0 = GaussianParams(0.3, -0.4, 0.1 + 0.48j, norm=1.5, alpha=0.25)
         sol = center_solution(g0.q, g0.p, g0.b, pot.gamma, pot.omega)
         zs = [0.0, 1e-3, 0.5, 0.5, 3.0, 29.9, 30.0, 1000.0]
-        for z, got in quadratic_trajectory(g0, pot, zs, hbar=0.5):
+        traj = quadratic_trajectory(g0, pot, zs, hbar=0.5)
+        columns = (getattr(traj, name).tolist() for name in ("z", "q", "p", "re_b", "im_b", "norm"))
+        for z, q, p, re_b, im_b, norm in zip(*columns):
             want_b = complex(b_evolution(g0.b, pot.omega, z))
-            assert got.q == pytest.approx(float(sol.q(z)), rel=1e-15, abs=0)
-            assert got.p == pytest.approx(float(sol.p(z)), rel=1e-15, abs=0)
-            assert abs(got.b - want_b) <= 1e-15 * abs(want_b)
-            assert got.norm == pytest.approx(1.5 * float(sol.norm_ratio(z, hbar=0.5)), rel=1e-15)
+            assert q == pytest.approx(float(sol.q(z)), rel=1e-15, abs=0)
+            assert p == pytest.approx(float(sol.p(z)), rel=1e-15, abs=0)
+            assert abs(complex(re_b, im_b) - want_b) <= 1e-15 * abs(want_b)
+            assert norm == pytest.approx(1.5 * float(sol.norm_ratio(z, hbar=0.5)), rel=1e-15)
 
     def test_decreasing_z_rejected(self):
         pot = QuadraticLinear(omega=1.0, gamma=1.0)

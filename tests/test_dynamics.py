@@ -33,6 +33,14 @@ QUAD_SMALL_GAIN = QuadraticLinear(omega=1.0, gamma=0.2)
 STATIONARY = GaussianParams(q=0.0, p=-1.0, b=1j)
 
 
+def params_at(traj, i) -> GaussianParams:
+    """Sample i of a trajectory's columns, as Python floats."""
+    q, p, re_b, im_b, norm, alpha = (
+        getattr(traj, name)[i].item() for name in ("q", "p", "re_b", "im_b", "norm", "alpha")
+    )
+    return GaussianParams(q, p, complex(re_b, im_b), norm, alpha)
+
+
 class TestRhs:
     def test_stationary_point(self):
         d = rhs(STATIONARY, QUAD.sample(0.0))
@@ -113,7 +121,7 @@ POTENTIALS = st.one_of(
 )
 def test_integrate_step_is_rk4_of_rhs(pot, q, p, re_b, im_b, alpha, norm, h):
     g0 = GaussianParams(q, p, complex(re_b, im_b), norm, alpha)
-    got = integrate(g0, pot, z_max=h, dz=h).samples[-1][1]
+    got = params_at(integrate(g0, pot, z_max=h, dz=h), -1)
     want_q, want_p, want_b, want_log_norm, want_alpha = rk4_step_from_rhs(g0, pot, h)
     for value, want in (
         (got.q, want_q),
@@ -229,7 +237,7 @@ def test_grid_is_exact_to_dz2_on_quadratic(q, p, re_b, im_b, omega, hbar, z, dz)
         reconstruct_wavefunction(g0, spec, constants=constants),
         pot, z, dz=dz, sample_stride=10**9, constants=constants,
     )
-    (_, g), = quadratic_trajectory(g0, pot, [z], hbar=hbar)
+    g = params_at(quadratic_trajectory(g0, pot, [z], hbar=hbar), 0)
     want = reconstruct_wavefunction(g, spec, z, constants=constants).amplitudes
     err = np.max(np.abs(run.final.amplitudes - want)) / np.max(np.abs(want))
     assert err <= 5 * (z / round(z / dz)) ** 2
@@ -258,7 +266,7 @@ def assert_partial_run(exc, g0):
     # condition at z = 0, strictly increasing and short of the abort's z
     partial = exc.partial
     assert len({len(column) for column in partial.columns().values()}) == 1
-    assert partial.samples[0] == (0.0, g0)
+    assert partial.z[0] == 0.0 and params_at(partial, 0) == g0
     assert np.all(np.diff(partial.z) > 0)
     assert partial.z[-1] < exc.z
 
@@ -266,14 +274,14 @@ def assert_partial_run(exc, g0):
 class TestIntegrate:
     def test_free_riccati(self):
         traj = integrate(GaussianParams(0.0, 0.0, 1j), FreeSpace(), 1.0, dz=1e-3)
-        b = traj.samples[-1][1].b
+        b = params_at(traj, -1).b
         assert abs(b - 1j / (1 + 1j)) < 1e-10
 
     def test_stationary_beam(self):
         traj = integrate(STATIONARY, QUAD, 20.0, dz=1e-3, sample_stride=100)
-        for _, g in traj.samples:
-            assert abs(g.q) < 1e-9
-            assert abs(g.norm - 1.0) < 1e-9
+        for q, norm in zip(traj.q.tolist(), traj.norm.tolist()):
+            assert abs(q) < 1e-9
+            assert abs(norm - 1.0) < 1e-9
 
     def test_oscillation_and_norm_modulation(self):
         # beam launched deep in the loss region oscillates with period near
@@ -291,9 +299,9 @@ class TestIntegrate:
 
     def test_trajectory_invariants(self):
         traj = integrate(GaussianParams(-1.0, 0.0, 0.5j), TANH, 2.0, dz=1e-3, sample_stride=37)
-        zs = traj.zs
+        zs = traj.z
         assert zs[0] == 0.0
-        assert traj.samples[0][1] == GaussianParams(-1.0, 0.0, 0.5j)
+        assert params_at(traj, 0) == GaussianParams(-1.0, 0.0, 0.5j)
         assert np.all(np.diff(zs) > 0)
         assert zs[-1] == pytest.approx(2.0, abs=1e-12)
 
@@ -302,9 +310,9 @@ class TestIntegrate:
         g0 = GaussianParams(-4.0, 0.0, 1j)
         traj = integrate(g0, pot, 20.0, dz=1e-3, sample_stride=100)
         e0 = 0.5 * g0.p**2 + pot.sample(g0.q).v_real
-        for _, g in traj.samples:
-            assert g.norm == 1.0
-            e = 0.5 * g.p**2 + pot.sample(g.q).v_real
+        for q, p, norm in zip(traj.q.tolist(), traj.p.tolist(), traj.norm.tolist()):
+            assert norm == 1.0
+            e = 0.5 * p**2 + pot.sample(q).v_real
             assert abs(e - e0) < 1e-8 * abs(e0)
 
     def test_rk4_convergence_order(self):
@@ -326,8 +334,9 @@ class TestIntegrate:
                 b=complex(rng.uniform(-1, 1), rng.uniform(0.5, 2)),
             )
             traj = integrate(g0, QUAD, 20.0, dz=1e-3, sample_stride=2000)
-            exact = quadratic_trajectory(g0, QUAD, [z for z, _ in traj.samples])
-            for (_, got), (_, want) in zip(traj.samples, exact):
+            exact = quadratic_trajectory(g0, QUAD, traj.z.tolist())
+            for i in range(len(traj.z)):
+                got, want = params_at(traj, i), params_at(exact, i)
                 assert abs(got.q - want.q) < 1e-8
                 assert abs(got.p - want.p) < 1e-8
                 assert abs(got.b - want.b) < 1e-8
@@ -365,7 +374,7 @@ class TestIntegrate:
                 return PotentialSample(0.0, 80.0, 0.0, 0.0, 0.0, 0.0)
 
         traj = integrate(GaussianParams(0.0, 0.0, 1j), FlatGain(), 2.0, dz=1e-3)
-        assert traj.samples[-1][1].norm == pytest.approx(math.exp(160.0), rel=1e-6)
+        assert traj.norm[-1] == pytest.approx(math.exp(160.0), rel=1e-6)
 
 
 class TestCenterAcceleration:
@@ -441,14 +450,14 @@ class TestReconstruct:
         constants = PhysicalConstants(hbar=0.5)
         spec = GridSpec(10.0, 1024)
         g0 = GaussianParams(1.0, 0.3, 0.2 + 1j)
-        g = integrate(g0, QUAD_SMALL_GAIN, 2.0, dz=1e-3, constants=constants).samples[-1][1]
+        g = params_at(integrate(g0, QUAD_SMALL_GAIN, 2.0, dz=1e-3, constants=constants), -1)
         state = propagate(
             reconstruct_wavefunction(g0, spec, constants=constants),
             QUAD_SMALL_GAIN, 2.0, dz=1e-3, sample_stride=2000, constants=constants,
         ).final
         ref = reconstruct_wavefunction(g, spec, constants=constants).amplitudes
         assert np.linalg.norm(state.amplitudes - ref) <= 1e-6 * np.linalg.norm(ref)
-        _, exact = quadratic_trajectory(g0, QUAD_SMALL_GAIN, [2.0], hbar=0.5).samples[-1]
+        exact = params_at(quadratic_trajectory(g0, QUAD_SMALL_GAIN, [2.0], hbar=0.5), -1)
         assert abs(exact.alpha - g.alpha) < 1e-9
 
     def test_narrow_grid_warns(self):

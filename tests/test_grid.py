@@ -30,6 +30,16 @@ TANH = PtTanhGaussian(gamma=1.0, omega=1.0, eta=10.0)
 QUAD = QuadraticLinear(omega=1.0, gamma=1.0)
 
 
+class HugeLoss(Potential):
+    """A uniform loss of 1000: |psi|^2 shrinks by exp(-2000) per unit z."""
+
+    def sample(self, q):
+        return PotentialSample(0.0, -1000.0, 0.0, 0.0, 0.0, 0.0)
+
+    def value(self, x):
+        return np.full(np.shape(x), -1000.0j)
+
+
 class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -275,13 +285,6 @@ class TestPropagate:
         # |psi|^2 shrinks by exp(-100) per sample and underflows after
         # z = 0.1; the partial record holds the samples before, the last of
         # them with its field
-        class HugeLoss(Potential):
-            def sample(self, q):
-                return PotentialSample(0.0, -1000.0, 0.0, 0.0, 0.0, 0.0)
-
-            def value(self, x):
-                return np.full(np.shape(x), -1000.0j)
-
         spec = GridSpec(8.0, 256)
         psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j, norm=1e-100), spec)
         with pytest.raises(NumericalAbortError) as err:
@@ -321,19 +324,50 @@ class TestPropagate:
     def test_underflow_aborts_with_z(self):
         # a uniform loss shrinks |psi|^2 by exp(-2000 dz) per step: a faint
         # field underflows to 0, which no observable can be taken of
-        class HugeLoss(Potential):
-            def sample(self, q):
-                return PotentialSample(0.0, -1000.0, 0.0, 0.0, 0.0, 0.0)
-
-            def value(self, x):
-                return np.full(np.shape(x), -1000.0j)
-
         spec = GridSpec(8.0, 256)
         psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j, norm=1e-100), spec)
         with pytest.raises(NumericalAbortError, match="vanished") as err:
             propagate(psi0, HugeLoss(), 2.0, dz=1e-2, sample_stride=1)
         assert 0.0 < err.value.z < 2.0
         assert all(norm > 0.0 for norm in err.value.partial.norm)
+
+
+def reads_as_a_record(run, x):
+    """A GridRun reads as a Trajectory does: its columns in grid_observables.csv
+    order, the same at any hbar, and its stored intensity rows."""
+    assert list(run.columns()) == ["z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass"]
+    for hbar in (1.0, 0.25):
+        assert all(column is getattr(run, name) for name, column in run.columns(hbar).items())
+    for rows in (slice(None), slice(1, 3), np.array([2, 0])):
+        assert np.array_equal(run.intensity_rows(x, 1.0, rows), run.intensity[rows])
+    assert np.array_equal(run.intensity_rows(x, 1.0, -1), renormalized_intensity(run.final))
+
+
+class TestGridRunReads:
+    SPEC = GridSpec(8.0, 256)
+
+    def test_full_run(self):
+        psi0 = reconstruct_wavefunction(GaussianParams(0.5, -0.3, 0.2 + 1j), self.SPEC)
+        run = propagate(psi0, TANH, 0.1, dz=1e-3, sample_stride=20)
+        assert len(run) == 6
+        reads_as_a_record(run, self.SPEC.positions())
+
+    def test_partial_run(self):
+        psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j, norm=1e-100), self.SPEC)
+        with pytest.raises(NumericalAbortError) as err:
+            propagate(psi0, HugeLoss(), 2.0, dz=1e-2, sample_stride=5)
+        assert len(err.value.partial) == 3
+        reads_as_a_record(err.value.partial, self.SPEC.positions())
+
+    def test_run_without_intensity(self):
+        psi0 = reconstruct_wavefunction(GaussianParams(0.5, -0.3, 0.2 + 1j), self.SPEC)
+        full = propagate(psi0, TANH, 0.1, dz=1e-3, sample_stride=20)
+        bare = propagate(psi0, TANH, 0.1, dz=1e-3, sample_stride=20, intensity=False)
+        bare_columns = bare.columns()
+        assert list(bare_columns) == list(full.columns())
+        assert all(np.array_equal(bare_columns[n], c) for n, c in full.columns().items())
+        with pytest.raises(ValueError, match="intensity=False"):
+            bare.intensity_rows(self.SPEC.positions(), 1.0, slice(None))
 
 
 def processed_textbook(potential, spec, dz):
@@ -479,8 +513,15 @@ class TestExactlyQuadraticOracle:
         zs = [1.0, 2.0, 5.0]
         state = reconstruct_wavefunction(g0, spec)
         traj = integrate(g0, QUAD, 5.0, dz=1e-3, sample_stride=1000)
-        alpha_at = {round(z, 9): g.alpha for z, g in traj.samples}
-        closed = {round(z, 9): g for z, g in quadratic_trajectory(g0, QUAD, zs)}
+        alpha_at = dict(zip((round(z, 9) for z in traj.z.tolist()), traj.alpha.tolist()))
+        exact = quadratic_trajectory(g0, QUAD, zs)
+        # (q, p, B, N) of the closed forms at each z
+        closed = {
+            round(z, 9): (q, p, complex(re_b, im_b), norm)
+            for z, q, p, re_b, im_b, norm in zip(
+                *(getattr(exact, name).tolist() for name in ("z", "q", "p", "re_b", "im_b", "norm"))
+            )
+        }
         checked = 0
         z = 0.0
         for z_next in zs:
@@ -488,10 +529,7 @@ class TestExactlyQuadraticOracle:
             state = propagate(state, QUAD, z_next - z, dz=1e-3, sample_stride=10**9).final
             z = z_next
             key = round(z, 9)
-            g = closed[key]
-            ref = reconstruct_wavefunction(
-                GaussianParams(g.q, g.p, g.b, g.norm, alpha_at[key]), spec, z
-            )
+            ref = reconstruct_wavefunction(GaussianParams(*closed[key], alpha_at[key]), spec, z)
             err = np.linalg.norm(state.amplitudes - ref.amplitudes)
             err /= np.linalg.norm(ref.amplitudes)
             assert err < 1e-5, f"rel L2 {err:.2e} at z={z}"

@@ -165,8 +165,8 @@ class TestRunScenario:
     def test_trajectories_record_the_step_taken(self):
         # z_max = 1 at dz = 0.3 takes three steps of 1/3
         result = run_scenario(small_config(gaussian=GaussianSettings(dz=0.3), sample_stride=1))
-        assert result.trajectories["gaussian"].dz == 1.0 / 3
-        assert result.trajectories["oracle"].dz == 1.0 / 3
+        assert result.records["gaussian"].dz == 1.0 / 3
+        assert result.records["oracle"].dz == 1.0 / 3
 
     @pytest.mark.parametrize("hbar", [1.0, 0.5])
     def test_gaussian_intensity_is_the_closed_form(self, hbar):
@@ -180,7 +180,7 @@ class TestRunScenario:
         result = run_scenario(cfg)
         x = cfg.grid_spec().positions()
         for name in ("gaussian", "oracle"):
-            traj = result.trajectories[name]
+            traj = result.records[name]
             want = np.empty((len(traj.z), len(x)))
             for row, q, im_b in zip(want, traj.q.tolist(), traj.im_b.tolist()):
                 u = x - q
@@ -235,6 +235,30 @@ class TestRunScenario:
         assert "gaussian" in result.series
         manifest = (tmp_path / "abort" / "manifest.txt").read_text()
         assert "aborts" in manifest
+
+    def test_records_hold_every_selected_propagator(self, tmp_path):
+        # the abort above with the oracle too: the grid's partial run is its
+        # record, and grid_observables.csv holds that record's columns
+        cfg = small_config(
+            potential={"kind": "quadratic_linear", "omega": 1.0, "gamma": 100.0},
+            propagators=("gaussian", "grid", "oracle"),
+            z_max=3.0,
+            grid=GridSettings(half_width=8.0, n_points=256, dz=1e-2),
+            sample_stride=10,
+        )
+        with pytest.warns(BoundaryContaminationWarning):
+            result = run_scenario(cfg, out_dir=str(tmp_path))
+        assert list(result.records) == ["gaussian", "oracle", "grid"]
+        assert [a.propagator for a in result.aborts] == ["grid"]
+        grid = result.records["grid"]
+        assert 0 < len(grid) < len(schedule(3.0, 1e-2, 10)[2])
+        for name, record in result.records.items():
+            assert result.series[name].z is record.z
+        header, *rows = (tmp_path / "grid_observables.csv").read_text().splitlines()
+        assert header == "z,norm,mean_q,mean_p,delta_q,edge_mass"
+        assert list(grid.columns()) == header.split(",")
+        table = np.array([row.split(",") for row in rows], dtype=float)
+        assert np.array_equal(table, np.column_stack(list(grid.columns().values())))
 
     def test_width_collapse_recorded_as_abort(self):
         # a wide beam on the flank of a narrow, strong gain profile: V_I'' > 0
@@ -372,7 +396,7 @@ class TestRunScenario:
         header = lines[0].split(",")
         assert header == ["z", "q", "p", "re_b", "im_b", "norm", "alpha", "delta_q", "delta_p"]
         # 17 significant digits round-trip doubles exactly
-        cols = result.trajectories["gaussian"].columns()
+        cols = result.records["gaussian"].columns()
         last = lines[-1].split(",")
         assert float(last[1]) == cols["q"][-1]
         assert float(last[5]) == cols["norm"][-1]
@@ -400,7 +424,7 @@ class TestRunScenario:
         )
         for name in ("gaussian_trajectory", "oracle_trajectory"):
             table = tables["oracle", name]
-            traj = results["oracle"].trajectories[name.split("_")[0]]
+            traj = results["oracle"].records[name.split("_")[0]]
             assert traj.mean_q is traj.q
             for width in ("delta_q", "delta_p"):
                 # the CSV's %.17g text reads back as the same double

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gainbeam import outputs
 from gainbeam.config import FilterConfig
 from gainbeam.harness import filter_experiment
-from gainbeam.outputs import atomic_write_text, write_csv, write_heatmap_csv
+from gainbeam.outputs import write_csv, write_heatmap_csv
 
 VALUES = [
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 0.1,
@@ -61,14 +61,6 @@ def test_unresolved_pair_written_as_nan(tmp_path):
     lines = read_lines(tmp_path / "filter_rates.csv")
     assert lines[1].split(",")[:2] == ["0", "1"]
     assert lines[1].split(",")[-1] == "nan"
-
-
-def test_lines_streamed_from_any_iterable(tmp_path):
-    path = tmp_path / "m.txt"
-    atomic_write_text(path, (f"{k}\n" for k in range(3)))
-    assert path.read_text() == "0\n1\n2\n"
-    atomic_write_text(path, "one string\n")
-    assert path.read_text() == "one string\n"
 
 
 def failing_rows():
