@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 config error (a run too large for memory too),
 
 import argparse
 import sys
+import warnings
 
 from .config import load_filter, load_scenario
 from .errors import ConfigError, NumericalAbortError
@@ -81,8 +82,19 @@ def _run_scenario_command(config, args) -> int:
     return EXIT_NUMERIC if result.aborts else EXIT_OK
 
 
+def _print_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # one line per warning: the file and line that raised it are internal
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _command(args)
+
+
+def _command(args) -> int:
     try:
         if args.command == "list":
             lib = scenario_library()

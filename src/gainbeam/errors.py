@@ -6,6 +6,7 @@ __all__ = [
     "ConfigError",
     "BoundaryContaminationWarning",
     "NarrowGridWarning",
+    "UnderResolvedGridWarning",
 ]
 
 
@@ -39,3 +40,7 @@ class BoundaryContaminationWarning(UserWarning):
 
 class NarrowGridWarning(UserWarning):
     """A grid edge lies closer than six beam widths to the beam center."""
+
+
+class UnderResolvedGridWarning(UserWarning):
+    """More than the allowed fraction of |FFT psi|^2 sits at the momentum edge of the grid."""

@@ -50,7 +50,9 @@ processed field.
 
 The domain [-L, L) is periodic with no absorbing layers; boundary health
 is monitored through the fraction of |psi|^2 in the outer 5% of the
-domain, which triggers a warning above 1%.
+domain, which triggers a warning above 1%, and resolution through the
+fraction of |FFT psi|^2 in the outer 5% of |k|, which triggers a warning
+above 1e-10.
 
 :func:`propagate` measures each sample in its loop and returns columns
 (:class:`GridRun`), keeping only the last field.
@@ -64,7 +66,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import BoundaryContaminationWarning, NumericalAbortError
+from .errors import BoundaryContaminationWarning, NumericalAbortError, UnderResolvedGridWarning
 from .potentials import DEFAULT_CONSTANTS, PhysicalConstants, Potential
 
 __all__ = [
@@ -79,12 +81,17 @@ __all__ = [
     "renormalized_intensity",
     "EDGE_FRACTION",
     "EDGE_MASS_LIMIT",
+    "K_EDGE_MASS_LIMIT",
 ]
 
 # Outer fraction of the domain (by measure, split between the two edges)
-# counted as "edge", and the edge mass above which a sample is flagged.
+# counted as "edge", and the edge mass above which a sample is flagged;
+# the same fraction of |k| is the momentum edge, and a well-resolved field
+# holds far less than K_EDGE_MASS_LIMIT of |FFT psi|^2 there (below 1e-19
+# on the built-ins)
 EDGE_FRACTION = 0.05
 EDGE_MASS_LIMIT = 0.01
+K_EDGE_MASS_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,13 +141,14 @@ class GridState:
 
 @dataclass(frozen=True)
 class GridObservables:
-    """Moments of |psi|^2 plus the spectral momentum expectation."""
+    """Moments of |psi|^2 plus the spectral momentum expectation and momentum-edge mass."""
 
     norm: float
     mean_q: float
     mean_p: float
     delta_q: float
     edge_mass: float
+    k_edge_mass: float
 
 
 @dataclass
@@ -154,6 +162,7 @@ class GridRun:
     mean_p: np.ndarray
     delta_q: np.ndarray
     edge_mass: np.ndarray
+    k_edge_mass: np.ndarray
     intensity: np.ndarray | None
     final: GridState
 
@@ -171,19 +180,20 @@ class GridRun:
         return self.intensity[rows]
 
 
-_COLUMNS = ("z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass")
+_COLUMNS = ("z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass", "k_edge_mass")
 
 
 def _geometry(spec: GridSpec):
-    """Positions, wavenumbers, spacing and edge mask: what _measure needs of a grid."""
-    x = spec.positions()
-    return x, spec.wavenumbers(), spec.spacing, np.abs(x) >= (1.0 - EDGE_FRACTION) * spec.half_width
+    """Positions, wavenumbers, spacing and the edge masks in x and k: what _measure needs."""
+    x, k, dx, edge = spec.positions(), spec.wavenumbers(), spec.spacing, 1.0 - EDGE_FRACTION
+    # the largest |k| is pi / dx
+    return x, k, dx, np.abs(x) >= edge * spec.half_width, np.abs(k) >= edge * np.pi / dx
 
 
-def _measure(psi, x, k, dx, edge_mask, hbar):
+def _measure(psi, x, k, dx, edge_mask, k_edge_mask, hbar):
     """(|psi|^2, its integral, the GridObservables fields or None).
 
-    None unless 0 < mass < inf and all five fields are finite: the one rule
+    None unless 0 < mass < inf and all six fields are finite: the one rule
     for a field that can be sampled.
     """
     density = np.abs(psi) ** 2
@@ -193,14 +203,17 @@ def _measure(psi, x, k, dx, edge_mask, hbar):
     mean_q = float((x * density).sum() * dx / mass)
     mean_x2 = float((x * x * density).sum() * dx / mass)
     delta_q = math.sqrt(max(mean_x2 - mean_q * mean_q, 0.0))
-    mean_p = float(hbar * (k * np.abs(np.fft.fft(psi)) ** 2).sum() * dx / (len(psi) * mass))
+    # |FFT psi|^2 sums to len(psi) mass / dx (Parseval)
+    spectrum = np.abs(np.fft.fft(psi)) ** 2
+    mean_p = float(hbar * (k * spectrum).sum() * dx / (len(psi) * mass))
     edge = float(density[edge_mask].sum() * dx / mass)
-    moments = (math.sqrt(mass), mean_q, mean_p, delta_q, edge)
+    k_edge = float(spectrum[k_edge_mask].sum() * dx / (len(psi) * mass))
+    moments = (math.sqrt(mass), mean_q, mean_p, delta_q, edge, k_edge)
     return density, mass, moments if all(map(math.isfinite, moments)) else None
 
 
 def observables(state: GridState, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> GridObservables:
-    """Norm, center, momentum, width and edge mass of a grid state.
+    """Norm, center, momentum, width and position and momentum edge masses of a grid state.
 
     The spectral momentum <p> = Re( sum conj(psi) (-i hbar d/dx psi) ) dx / norm^2
     is, by Parseval, hbar sum k |FFT(psi)_k|^2 dx / (n norm^2): one FFT.
@@ -334,16 +347,18 @@ def propagate(
     samples taken before. Samples with more than 1% of |psi|^2 in the outer
     5% of the domain are counted, and one BoundaryContaminationWarning per
     call reports their number, the first z and the largest edge mass, also
-    when the run aborts.
+    when the run aborts; likewise one UnderResolvedGridWarning for samples
+    with more than 1e-10 of |FFT psi|^2 at |k| >= 0.95 pi / dx.
     """
     n_steps, dz_eff, sample_steps = schedule(z_max, dz, sample_stride)
     spec = initial.spec
     n, m = spec.n_points, spec.n_points // 2
     n_zero = constants.n_zero
 
-    x, k, dx, edge_mask = _geometry(spec)
-    # rows z, norm, mean_q, mean_p, delta_q, edge_mass; a column per sample
-    table = np.empty((6, len(sample_steps)))
+    geometry = _geometry(spec)
+    x, k = geometry[:2]
+    # rows z, norm, mean_q, mean_p, delta_q, edge_mass, k_edge_mass; a column per sample
+    table = np.empty((7, len(sample_steps)))
     matrix = np.empty((len(sample_steps), n)) if intensity else None
     psi, final = initial.amplitudes, initial
     taken = 0
@@ -390,7 +405,7 @@ def propagate(
                 # a fresh array, so the last sampled field stays intact
                 psi = np.empty(n, dtype=complex)
                 process(field, plus_scale, _rows(psi))
-            density, mass, moments = _measure(psi, x, k, dx, edge_mask, constants.hbar)
+            density, mass, moments = _measure(psi, *geometry, constants.hbar)
             if not step and moments is None:
                 raise ValueError(
                     "the initial beam puts no |psi|^2 on the grid: initial.norm0 is too "
@@ -409,16 +424,22 @@ def propagate(
             taken += 1
             np.multiply(field, half_potential, out=chi)
     run = GridRun(*table[:, :taken], None if matrix is None else matrix[:taken], final)
-    flagged = np.flatnonzero(run.edge_mass > EDGE_MASS_LIMIT)
-    if len(flagged):
-        warnings.warn(
-            f"{len(flagged)} samples hold more than {EDGE_MASS_LIMIT:.0%} of |psi|^2 "
-            f"in the outer {EDGE_FRACTION:.0%} of the domain, the first at "
-            f"z={run.z[flagged[0]]:.6g}, at most {run.edge_mass[flagged].max():.3g}; "
-            "results may be contaminated by the periodic boundary",
-            BoundaryContaminationWarning,
-            stacklevel=2,
-        )
+    for column, limit, share, consequence, category in (
+        (run.edge_mass, EDGE_MASS_LIMIT,
+         f"{EDGE_MASS_LIMIT:.0%} of |psi|^2 in the outer {EDGE_FRACTION:.0%} of the domain",
+         "results may be contaminated by the periodic boundary", BoundaryContaminationWarning),
+        (run.k_edge_mass, K_EDGE_MASS_LIMIT,
+         f"{K_EDGE_MASS_LIMIT:.0e} of |FFT psi|^2 in the outer {EDGE_FRACTION:.0%} of |k|",
+         "the grid under-resolves the field: raise grid.n_points", UnderResolvedGridWarning),
+    ):
+        flagged = np.flatnonzero(column > limit)
+        if len(flagged):
+            warnings.warn(
+                f"{len(flagged)} samples hold more than {share}, the first at "
+                f"z={run.z[flagged[0]]:.6g}, at most {column[flagged].max():.3g}; {consequence}",
+                category,
+                stacklevel=2,
+            )
     if taken < len(sample_steps):
         z_abort = sample_steps[taken] * dz_eff
         raise NumericalAbortError(

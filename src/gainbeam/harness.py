@@ -9,9 +9,11 @@ initial beam:
 
 Each propagator returns a record of its sampled z values, a Trajectory
 or a GridRun, both read one way: ``columns(hbar)`` and ``intensity_rows(x,
-hbar, rows)``. Pairs of propagators are compared on the z values they
-share. Outputs are CSV files plus a manifest that can reconstruct the
-configuration exactly.
+hbar, rows)``. :func:`compare` reads two records on the z values they
+share, and the CSVs and heatmaps are written from the records;
+``ScenarioResult.series`` is a view of them for the benchmark. Outputs
+are CSV files plus a manifest that can reconstruct the configuration
+exactly.
 """
 
 import math
@@ -60,7 +62,7 @@ def _blocks(n: int):
 
 
 class ObservableSeries:
-    """Beam observables on a set of z samples, from any propagator.
+    """Beam observables on a set of z samples: the view of a record in ``ScenarioResult.series``.
 
     ``intensity`` is a row source: a function from a row selection (a slice
     or an index array) to those rows of the renormalized intensity on the
@@ -76,20 +78,10 @@ class ObservableSeries:
     def intensity(self) -> np.ndarray | None:
         return None if self.rows is None else self.rows(slice(None))
 
-    def restricted(self, indices) -> "ObservableSeries":
-        # indices are increasing and distinct, so all of them is the series itself
-        if len(indices) == len(self.z):
-            return self
-        indices = np.asarray(indices, dtype=np.intp)
-        return ObservableSeries(
-            self.z[indices], self.mean_q[indices], self.norm[indices],
-            None if self.rows is None else lambda sel: self.rows(indices[sel]), self.x,
-        )
-
 
 @dataclass
 class ComparisonReport:
-    """Sup metrics over the shared z samples of two observable series."""
+    """Sup metrics over the shared z samples of two propagators' records."""
 
     sup_q_error: float
     sup_norm_rel_error: float
@@ -104,41 +96,39 @@ class ComparisonReport:
         }
 
 
-def compare(series_a: ObservableSeries, series_b: ObservableSeries) -> ComparisonReport:
+def compare(a, b, shared=None, x=None, hbar: float = 1.0) -> ComparisonReport:
     """Quantify the difference between two propagations of the same beam.
 
-    Requires identical z samples. The norm error is relative to the
-    second series, with the denominator floored at 1e-12 times its
-    largest norm; the intensity metric is the per-sample L2 norm of the
-    renormalized-intensity difference, averaged over samples (NaN when
-    either series carries no intensity data). The rows are formed and
-    differenced ``_BLOCK_ROWS`` at a time, and each row's sum is the one
-    the whole matrices would give.
+    ``a`` and ``b`` are records (a Trajectory or a GridRun) and ``shared``
+    the pair (indices into a, indices into b) of the samples compared, or
+    None for all of both; the selected samples must sit at the same z.
+    The norm error is relative to ``b``, with the denominator floored at
+    1e-12 times its largest norm; the intensity metric is the per-sample L2
+    norm of the renormalized-intensity difference on the positions ``x``
+    (NaN when x is None), averaged over samples. The rows are formed
+    through ``intensity_rows(x, hbar, rows)`` and differenced
+    ``_BLOCK_ROWS`` at a time, and each row's sum is the one the whole
+    matrices would give.
     """
-    if series_a.z.shape != series_b.z.shape or not np.allclose(
-        series_a.z, series_b.z, rtol=0.0, atol=1e-12
-    ):
-        raise ValueError("mismatched sampling: series must share their z values")
-    q_err = np.abs(series_a.mean_q - series_b.mean_q)
-    floor = NORM_FLOOR_FACTOR * float(np.max(np.abs(series_b.norm)))
-    denom = np.maximum(np.abs(series_b.norm), max(floor, np.finfo(float).tiny))
+    ia, ib = (np.asarray(s, dtype=np.intp) for s in shared or (range(len(a.z)), range(len(b.z))))
+    z = a.z[ia]
+    if z.shape != ib.shape or not np.allclose(z, b.z[ib], rtol=0.0, atol=1e-12):
+        raise ValueError("mismatched sampling: records must share their z values")
+    q_err = np.abs(a.mean_q[ia] - b.mean_q[ib])
+    norm_b = b.norm[ib]
+    floor = NORM_FLOOR_FACTOR * float(np.max(np.abs(norm_b)))
+    denom = np.maximum(np.abs(norm_b), max(floor, np.finfo(float).tiny))
     # norms near overflow give an inf or nan error, which the report shows
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_err = np.abs(series_a.norm - series_b.norm) / denom
-    l2 = np.full(series_a.z.shape, np.nan)
-    if (
-        series_a.rows is not None
-        and series_b.rows is not None
-        and series_a.x is not None
-        and series_b.x is not None
-        and np.array_equal(series_a.x, series_b.x)
-    ):
+        norm_err = np.abs(a.norm[ia] - norm_b) / denom
+    l2 = np.full(z.shape, np.nan)
+    if x is not None:
         for block in _blocks(len(l2)):
-            diff = series_a.rows(block) - series_b.rows(block)
+            diff = a.intensity_rows(x, hbar, ia[block]) - b.intensity_rows(x, hbar, ib[block])
             diff *= diff
             l2[block] = diff.sum(axis=1)
-        l2 = np.sqrt(l2 * (series_a.x[1] - series_a.x[0]))
-    table = np.column_stack([series_a.z, q_err, norm_err, l2])
+        l2 = np.sqrt(l2 * (x[1] - x[0]))
+    table = np.column_stack([z, q_err, norm_err, l2])
     mean_l2 = float(np.mean(l2)) if not np.all(np.isnan(l2)) else math.nan
     return ComparisonReport(
         sup_q_error=float(q_err.max()),
@@ -158,7 +148,7 @@ class PropagatorAbort:
 @dataclass
 class ScenarioResult:
     config: ScenarioConfig
-    series: dict
+    series: dict  # propagator name -> ObservableSeries, the benchmark's view of records[name]
     reports: dict
     aborts: list
     records: dict  # propagator name -> Trajectory or GridRun, an aborted run's partial too
@@ -259,22 +249,14 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     x = config.grid_spec().positions() if _with_intensity(config) else None
-    series = {
-        name: ObservableSeries(
-            r.z, r.mean_q, r.norm, None if x is None else partial(r.intensity_rows, x, hbar), x
-        )
-        for name, r in records.items()
-    }
 
     reports: dict = {}
     aborted = {a.propagator for a in aborts}
     compared = [p for p in config.propagators if p not in aborted]
     for name_a, name_b in combinations(compared, 2):
         # every schedule samples step 0 and step n, so z = 0 and z_max are always shared
-        ia, ib = _shared_samples(config, name_a, name_b)
-        reports[(name_a, name_b)] = compare(
-            series[name_a].restricted(ia), series[name_b].restricted(ib)
-        )
+        shared = _shared_samples(config, name_a, name_b)
+        reports[(name_a, name_b)] = compare(records[name_a], records[name_b], shared, x, hbar)
 
     files: list = []
     if out_dir is not None:
@@ -285,9 +267,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
             outputs.append((_PROPAGATORS[name].csv, write_csv, (list(cols), table)))
         if config.heatmap:
             outputs += [
-                (f"{name}_heatmap.csv", write_heatmap_csv,
-                 (s.x, s.z, chain.from_iterable(map(s.rows, _blocks(len(s.z))))))
-                for name, s in series.items()
+                (f"{name}_heatmap.csv", write_heatmap_csv, (x, r.z, chain.from_iterable(
+                    map(partial(r.intensity_rows, x, hbar), _blocks(len(r.z))))))
+                for name, r in records.items()
             ]
         outputs += [
             (f"comparison_{name_a}_vs_{name_b}.csv", write_csv,
@@ -304,6 +286,12 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         for (name_a, name_b), rep in reports.items():
             report_data[f"{name_a}_vs_{name_b}"] = rep.to_dict()
         files = _write_run(out_dir, config, outputs, derived, report_data)
+    series = {
+        name: ObservableSeries(
+            r.z, r.mean_q, r.norm, None if x is None else partial(r.intensity_rows, x, hbar), x
+        )
+        for name, r in records.items()
+    }
     return ScenarioResult(
         config=config,
         series=series,

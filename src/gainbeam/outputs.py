@@ -364,11 +364,14 @@ def write_csv(path, header, rows):
     _atomic_write(path, chain([(",".join(header) + "\n").encode()], table))
 
 
-def write_heatmap_csv(path, x, zs, matrix):
-    """Matrix of renormalized intensity: rows are z samples, columns grid points."""
+def write_heatmap_csv(path, x, zs, rows):
+    """Renormalized intensity, a row per z sample and a column per grid point.
+
+    ``rows`` is any iterable of rows of len(x) values, a 2-D array or a
+    generator, read one row at a time beside ``zs`` (their counts must agree)."""
     ws = _Workspace()
     header = b"z," + b"".join(_table(ws, [x], len(x)))
-    _atomic_write(path, chain([header], _table(ws, matrix, len(x) + 1, zs)))
+    _atomic_write(path, chain([header], _table(ws, rows, len(x) + 1, zs)))
 
 
 def _flatten(prefix: str, value, out: list):

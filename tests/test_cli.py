@@ -83,6 +83,26 @@ class TestRun:
         assert code == EXIT_NUMERIC
         assert "ABORT" in capsys.readouterr().out
 
+    def test_warning_prints_one_stable_line(self, tmp_path, capsys):
+        # the grid's boundary warning, raised inside the harness, reads the
+        # same whatever line raised it
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            potential={"kind": "quadratic_linear", "omega": 1.0, "gamma": 100.0},
+            propagators=["gaussian", "grid"],
+            z_max=3.0,
+            grid={"half_width": 8.0, "n_points": 256, "dz": 1e-2},
+            sample_stride=10,
+        )
+        handler = warnings.showwarning
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_NUMERIC
+        assert warnings.showwarning is handler
+        err = capsys.readouterr().err
+        assert ".py:" not in err
+        lines = err.splitlines()
+        assert any("periodic boundary" in line for line in lines)
+        assert all(line.startswith("warning: ") for line in lines), lines
+
     def test_oracle_abort_exits_numeric(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -111,10 +131,12 @@ class TestRun:
 
     # hbar 1e-300 overflows the grid's potential factor (b0 = i), a recorded
     # abort, and for a narrow beam (b0 = 1e10 i) the reconstructed field's
-    # phase and prefactor, whose NaN mass is a config error
+    # phase and prefactor, whose NaN mass is a config error. The first beam,
+    # 1e-150 wide, is one grid point: its flat spectrum is the one warning
     @pytest.mark.parametrize(
         "im_b0, code, err",
-        [(1.0, EXIT_NUMERIC, ""), (1e10, EXIT_CONFIG, "config error: the initial beam")],
+        [(1.0, EXIT_NUMERIC, "warning: 1 samples hold more than 1e-10 of |FFT psi|^2"),
+         (1e10, EXIT_CONFIG, "config error: the initial beam")],
         ids=["factors", "field"],
     )
     def test_tiny_hbar_grid_warns_nothing(self, tmp_path, capsys, im_b0, code, err):
@@ -131,7 +153,7 @@ class TestRun:
             warnings.simplefilter("always")
             assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == code
         assert [str(w.message) for w in caught] == []
-        # nothing on stderr but the config error's one line
+        # nothing on stderr but the warning's or the config error's one line
         stderr = capsys.readouterr().err
         assert stderr.startswith(err) and stderr.count("\n") == bool(err)
 

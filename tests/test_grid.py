@@ -6,7 +6,11 @@ import pytest
 
 from gainbeam.closed_forms import quadratic_trajectory
 from gainbeam.dynamics import GaussianParams, integrate, reconstruct_wavefunction, widths
-from gainbeam.errors import BoundaryContaminationWarning, NumericalAbortError
+from gainbeam.errors import (
+    BoundaryContaminationWarning,
+    NumericalAbortError,
+    UnderResolvedGridWarning,
+)
 from gainbeam.grid import (
     GridSpec,
     GridState,
@@ -193,7 +197,7 @@ class TestPropagate:
         psi0 = reconstruct_wavefunction(GaussianParams(0.5, -0.3, 0.2 + 1j), spec)
         run = propagate(psi0, TANH, 0.05, dz=1e-3, sample_stride=10)
         first = observables(psi0)
-        for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass"):
+        for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass", "k_edge_mass"):
             assert getattr(run, name)[0] == getattr(first, name)
         assert np.array_equal(run.intensity[0], renormalized_intensity(psi0))
 
@@ -230,6 +234,21 @@ class TestPropagate:
         with pytest.warns(BoundaryContaminationWarning) as record:
             propagate(psi0, FreeSpace(), 1.2, dz=1e-2, sample_stride=10)
         assert len(record) == 1
+
+    def test_under_resolved_grid_warning(self):
+        # a beam launched at k = 64, near the largest wavenumber pi / dx = 67
+        spec = GridSpec(6.0, 256)
+        psi0 = reconstruct_wavefunction(GaussianParams(0.0, 64.0, 1j), spec)
+        with pytest.warns(UnderResolvedGridWarning, match="under-resolves") as record:
+            run = propagate(psi0, FreeSpace(), 0.01, dz=1e-3, sample_stride=5)
+        assert len(record) == 1
+        spectrum = np.abs(np.fft.fft(psi0.amplitudes)) ** 2
+        edge = np.abs(spec.wavenumbers()) >= 0.95 * np.pi / spec.spacing
+        assert run.k_edge_mass[0] == pytest.approx(spectrum[edge].sum() / spectrum.sum(), rel=1e-12)
+        assert run.k_edge_mass[0] > 1e-3
+        # the same beam at rest holds nothing there
+        psi0 = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j), spec)
+        assert observables(psi0).k_edge_mass < 1e-19
 
     def test_overflow_aborts_with_z(self):
         class HugeGain(Potential):
@@ -277,7 +296,7 @@ class TestPropagate:
         assert len(run) == len(run.norm) == len(run.intensity) == 9
         assert run.final.z == run.z[-1] == 0.5
         last = observables(run.final)
-        for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass"):
+        for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass", "k_edge_mass"):
             assert getattr(run, name)[-1] == getattr(last, name)
         assert np.array_equal(run.intensity[-1], renormalized_intensity(run.final))
 
@@ -294,7 +313,7 @@ class TestPropagate:
         assert partial.z.tolist() == [k * dz_eff for k in steps[:3]]
         assert partial.z[-1] < err.value.z
         for column in (partial.norm, partial.mean_q, partial.mean_p, partial.delta_q,
-                       partial.edge_mass, partial.intensity):
+                       partial.edge_mass, partial.k_edge_mass, partial.intensity):
             assert len(column) == len(partial)
         assert partial.final.z == partial.z[-1]
         last = observables(partial.final)
@@ -309,6 +328,7 @@ class TestPropagate:
         psi0 = reconstruct_wavefunction(GaussianParams(2.0, 0.0, 1j), GridSpec(10.0, 256))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryContaminationWarning)
+            warnings.simplefilter("ignore", UnderResolvedGridWarning)
             if z_max < 5.0:
                 run = propagate(psi0, QuadraticLinear(1.0, 10.0), z_max, dz=1e-2, sample_stride=100)
             else:
@@ -318,7 +338,7 @@ class TestPropagate:
                 run = err.value.partial
         assert run.z.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
         for column in (run.norm, run.mean_q, run.mean_p, run.delta_q, run.edge_mass,
-                       run.intensity, run.final.amplitudes):
+                       run.k_edge_mass, run.intensity, run.final.amplitudes):
             assert np.all(np.isfinite(column))
 
     def test_underflow_aborts_with_z(self):
@@ -335,7 +355,9 @@ class TestPropagate:
 def reads_as_a_record(run, x):
     """A GridRun reads as a Trajectory does: its columns in grid_observables.csv
     order, the same at any hbar, and its stored intensity rows."""
-    assert list(run.columns()) == ["z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass"]
+    assert list(run.columns()) == [
+        "z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass", "k_edge_mass"
+    ]
     for hbar in (1.0, 0.25):
         assert all(column is getattr(run, name) for name, column in run.columns(hbar).items())
     for rows in (slice(None), slice(1, 3), np.array([2, 0])):
@@ -461,7 +483,7 @@ class TestKernel:
                 psi = processor(kernel, 1)
             state = GridState(spec, psi, i * 10 * dz)
             want = observables(state)
-            for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass"):
+            for name in ("norm", "mean_q", "mean_p", "delta_q", "edge_mass", "k_edge_mass"):
                 got, ref = getattr(run, name)[i], getattr(want, name)
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (name, i)
             ref_row = renormalized_intensity(state)

@@ -17,11 +17,15 @@ from gainbeam.config import (
     InitialBeam,
     ScenarioConfig,
 )
-from gainbeam.dynamics import GaussianParams, integrate
-from gainbeam.errors import BoundaryContaminationWarning, ConfigError, NarrowGridWarning
+from gainbeam.dynamics import GaussianParams, Trajectory, integrate
+from gainbeam.errors import (
+    BoundaryContaminationWarning,
+    ConfigError,
+    NarrowGridWarning,
+    UnderResolvedGridWarning,
+)
 from gainbeam.grid import schedule
 from gainbeam.harness import (
-    ObservableSeries,
     _shared_samples,
     compare,
     filter_experiment,
@@ -114,34 +118,52 @@ class TestConfigValidation:
 
 
 class TestCompare:
-    def make_series(self, q_offset=0.0, norm_factor=1.0):
-        z = np.linspace(0, 5, 11)
-        return ObservableSeries(
-            z=z,
-            mean_q=np.sin(z) + q_offset,
-            norm=np.exp(0.1 * z) * norm_factor,
+    @staticmethod
+    def make_record(q_offset=0.0, norm_factor=1.0, z=None):
+        z = np.linspace(0, 5, 11) if z is None else z
+        zero = np.zeros_like(z)
+        return Trajectory(
+            z, np.sin(z) + q_offset, zero, zero, 1.0 + 0.1 * z, np.exp(0.1 * z) * norm_factor, zero
         )
 
     def test_self_comparison_is_zero(self):
-        a = self.make_series()
+        a = self.make_record()
         rep = compare(a, a)
         assert rep.sup_q_error == 0.0
         assert rep.sup_norm_rel_error == 0.0
+        # no positions, no intensity metric
+        assert math.isnan(rep.renormalized_intensity_l2)
+        rep = compare(a, a, x=np.linspace(-8.0, 8.0, 256))
+        assert rep.renormalized_intensity_l2 == 0.0
 
     def test_constant_offset(self):
-        rep = compare(self.make_series(q_offset=0.25), self.make_series())
+        rep = compare(self.make_record(q_offset=0.25), self.make_record())
         assert rep.sup_q_error == pytest.approx(0.25)
 
     def test_relative_norm_error(self):
-        rep = compare(self.make_series(norm_factor=1.01), self.make_series())
+        rep = compare(self.make_record(norm_factor=1.01), self.make_record())
         assert rep.sup_norm_rel_error == pytest.approx(0.01)
 
     def test_mismatched_sampling_rejected(self):
-        a = self.make_series()
-        b = self.make_series()
-        b.z = b.z + 0.1
+        a = self.make_record()
+        b = self.make_record(z=np.linspace(0, 5, 11) + 0.1)
         with pytest.raises(ValueError, match="mismatched sampling"):
             compare(a, b)
+        with pytest.raises(ValueError, match="mismatched sampling"):
+            compare(a, self.make_record(z=np.linspace(0, 5, 6)))
+
+    def test_shared_samples_only(self):
+        # every other sample of a sits at a sample of b
+        a, b = self.make_record(), self.make_record(q_offset=0.5, z=np.linspace(0, 5, 6))
+        x = np.linspace(-8.0, 8.0, 256)
+        rep = compare(a, b, (range(0, 11, 2), range(6)), x, 0.5)
+        assert rep.samples[:, 0].tolist() == b.z.tolist()
+        assert np.array_equal(rep.samples[:, 1], np.abs(a.q[::2] - b.q))
+        assert rep.sup_norm_rel_error == 0.0
+        want = whole_matrix_l2(
+            a.intensity_rows(x, 0.5, slice(None, None, 2)), b.intensity_rows(x, 0.5, slice(None)), x
+        )
+        assert np.array_equal(rep.samples[:, 3], want)
 
 
 class TestRunScenario:
@@ -255,7 +277,7 @@ class TestRunScenario:
         for name, record in result.records.items():
             assert result.series[name].z is record.z
         header, *rows = (tmp_path / "grid_observables.csv").read_text().splitlines()
-        assert header == "z,norm,mean_q,mean_p,delta_q,edge_mass"
+        assert header == "z,norm,mean_q,mean_p,delta_q,edge_mass,k_edge_mass"
         assert list(grid.columns()) == header.split(",")
         table = np.array([row.split(",") for row in rows], dtype=float)
         assert np.array_equal(table, np.column_stack(list(grid.columns().values())))
@@ -438,11 +460,11 @@ class TestRunScenario:
             )
 
 
-def whole_matrix_l2(series_a, series_b):
+def whole_matrix_l2(rows_a, rows_b, x):
     """The per-sample intensity L2 of compare, from the whole matrices at once."""
-    diff = series_a.intensity - series_b.intensity
+    diff = rows_a - rows_b
     diff *= diff
-    return np.sqrt(diff.sum(axis=1) * (series_a.x[1] - series_a.x[0]))
+    return np.sqrt(diff.sum(axis=1) * (x[1] - x[0]))
 
 
 class TestIntensityRows:
@@ -455,16 +477,19 @@ class TestIntensityRows:
             heatmap=True,
         )
         result = run_scenario(cfg, out_dir=str(tmp_path / "blocks"))
-        series = result.series
-        assert len(series[other].z) == samples
-        want = whole_matrix_l2(series["gaussian"], series[other])
+        x, hbar = cfg.grid_spec().positions(), cfg.constants.hbar
+        matrices = {
+            name: r.intensity_rows(x, hbar, slice(None)) for name, r in result.records.items()
+        }
+        assert len(matrices[other]) == samples
+        want = whole_matrix_l2(matrices["gaussian"], matrices[other], x)
         assert np.array_equal(result.reports[("gaussian", other)].samples[:, 3], want)
-        for name, s in series.items():
+        for name, matrix in matrices.items():
             whole = tmp_path / f"{name}_whole.csv"
-            write_heatmap_csv(whole, s.x, s.z, s.intensity)
+            write_heatmap_csv(whole, x, result.records[name].z, matrix)
             assert whole.read_bytes() == (tmp_path / "blocks" / f"{name}_heatmap.csv").read_bytes()
 
-    def test_restricted_comparison_keeps_every_bit(self):
+    def test_shared_comparison_keeps_every_bit(self):
         # 500 and 714 steps, as in test_unequal_steps_compare_at_both_ends, but
         # a stride of 1: the shared samples are a strict subset on both sides
         cfg = small_config(
@@ -476,13 +501,16 @@ class TestIntensityRows:
         )
         result = run_scenario(cfg)
         ia, ib = _shared_samples(cfg, "gaussian", "grid")
-        gaussian, grid = result.series["gaussian"], result.series["grid"]
+        gaussian, grid = result.records["gaussian"], result.records["grid"]
         assert 2 < len(ia) < min(len(gaussian.z), len(grid.z))
-        for s, indices in ((gaussian, ia), (grid, ib)):
-            assert np.array_equal(s.restricted(indices).intensity, s.intensity[indices])
-        want = whole_matrix_l2(gaussian.restricted(ia), grid.restricted(ib))
-        assert np.array_equal(result.reports[("gaussian", "grid")].samples[:, 3], want)
-        assert gaussian.restricted(range(len(gaussian.z))) is gaussian
+        x, hbar = cfg.grid_spec().positions(), cfg.constants.hbar
+        report = compare(gaussian, grid, (ia, ib), x, hbar)
+        assert np.array_equal(report.samples, result.reports[("gaussian", "grid")].samples)
+        assert np.array_equal(report.samples[:, 0], gaussian.z[ia])
+        want = whole_matrix_l2(
+            gaussian.intensity_rows(x, hbar, slice(None))[ia], grid.intensity[ib], x
+        )
+        assert np.array_equal(report.samples[:, 3], want)
 
     def test_kept_results_hold_columns_only(self):
         # fig7's beams: 4096 points, 301 samples; a 301 x 4096 matrix is 9.4 MiB
@@ -565,11 +593,32 @@ class TestScenarioLibrary:
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryContaminationWarning)
             warnings.simplefilter("error", NarrowGridWarning)
+            warnings.simplefilter("error", UnderResolvedGridWarning)
             for name in sorted(lib):
                 result = run_scenario(lib[name])
                 assert not result.aborts, f"{name} aborted: {result.aborts}"
                 for prop in lib[name].propagators:
                     assert prop in result.series, f"{name} missing {prop}"
+
+    @pytest.mark.parametrize(
+        "name, n_points, dz, z_max", [("fig6-top", 512, 1e-2, 30.0), ("fig2c", 1024, 1e-3, 5.0)]
+    )
+    def test_coarse_grid_warns(self, name, n_points, dz, z_max):
+        # too few points on the default half width: |FFT psi|^2 reaches the
+        # momentum edge while the position edge stays clean
+        cfg = scenario_library()[name]
+        cfg = replace(
+            cfg, propagators=("grid",), z_max=z_max,
+            grid=replace(cfg.grid, n_points=n_points, dz=dz), sample_stride=10,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_scenario(cfg)
+        assert [w.category for w in caught] == [UnderResolvedGridWarning]
+        assert "the grid under-resolves the field" in str(caught[0].message)
+        assert not result.aborts
+        grid = result.records["grid"]
+        assert grid.k_edge_mass.max() > 1e-3 and grid.edge_mass.max() < 1e-8
 
 
 class TestFilterExperiment:
