@@ -8,6 +8,10 @@ Each config class declares every field together with its parser
 (``_field``). ``__post_init__`` runs the parsers, so a config built in
 Python and one read from JSON pass the same checks, and every bad value
 ends as a ConfigError.
+
+ScenarioConfig and FilterConfig share ``_Document.to_dict``, the versioned
+JSON form. Each keeps its own ``from_dict`` and ``build_potential``, which
+bench/tracing.py wraps and then restores from that class's own ``__dict__``.
 """
 
 import json
@@ -244,8 +248,12 @@ class _Record:
     def _complete(self):
         """Checks across fields and defaults derived from other fields."""
 
+
+class _Document(_Record):
+    """Base of the top-level config documents: the JSON form carries the schema version."""
+
     def to_dict(self) -> dict:
-        return _plain(self)
+        return {"schema_version": SCHEMA_VERSION, **_plain(self)}
 
 
 @dataclass(frozen=True)
@@ -271,14 +279,11 @@ class GridSettings(_Record):
 
     def _complete(self):
         if self.half_width is not None:
-            self.spec()
-
-    def spec(self) -> GridSpec:
-        return GridSpec(self.half_width, self.n_points)
+            GridSpec(self.half_width, self.n_points)
 
 
 @dataclass(frozen=True)
-class ScenarioConfig(_Record):
+class ScenarioConfig(_Document):
     name: str = _field(_file_name)
     potential: dict = _field(_potential)
     initial: InitialBeam = _field(_record(InitialBeam))
@@ -310,14 +315,11 @@ class ScenarioConfig(_Record):
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         return cls(**_document(d, cls, "scenario"))
 
-    def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **_plain(self)}
-
     def build_potential(self) -> Potential:
         return build_potential(self.potential)
 
     def grid_spec(self) -> GridSpec:
-        return self.grid.spec()
+        return GridSpec(self.grid.half_width, self.grid.n_points)
 
     def with_overrides(
         self, z_max=None, dz=None, grid_points=None, heatmap=None
@@ -339,7 +341,7 @@ class ScenarioConfig(_Record):
 
 
 @dataclass(frozen=True)
-class FilterConfig(_Record):
+class FilterConfig(_Document):
     """Configuration of a width-filtering experiment."""
 
     name: str = _field(_file_name)
@@ -371,9 +373,6 @@ class FilterConfig(_Record):
     @classmethod
     def from_dict(cls, d: dict) -> "FilterConfig":
         return cls(**_document(d, cls, "filter"))
-
-    def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **_plain(self)}
 
     def build_potential(self) -> Potential:
         return build_potential(self.potential)

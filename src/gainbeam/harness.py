@@ -96,21 +96,20 @@ class ComparisonReport:
         }
 
 
-def compare(a, b, shared=None, x=None, hbar: float = 1.0) -> ComparisonReport:
+def compare(a, b, shared, x, hbar: float) -> ComparisonReport:
     """Quantify the difference between two propagations of the same beam.
 
     ``a`` and ``b`` are records (a Trajectory or a GridRun) and ``shared``
-    the pair (indices into a, indices into b) of the samples compared, or
-    None for all of both; the selected samples must sit at the same z.
-    The norm error is relative to ``b``, with the denominator floored at
-    1e-12 times its largest norm; the intensity metric is the per-sample L2
-    norm of the renormalized-intensity difference on the positions ``x``
-    (NaN when x is None), averaged over samples. The rows are formed
-    through ``intensity_rows(x, hbar, rows)`` and differenced
-    ``_BLOCK_ROWS`` at a time, and each row's sum is the one the whole
-    matrices would give.
+    the pair (indices into a, indices into b) of the samples compared;
+    the selected samples must sit at the same z. The norm error is
+    relative to ``b``, with the denominator floored at 1e-12 times its
+    largest norm; the intensity metric is the per-sample L2 norm of the
+    renormalized-intensity difference on the positions ``x``, averaged
+    over samples. The rows are formed through ``intensity_rows(x, hbar,
+    rows)`` and differenced ``_BLOCK_ROWS`` at a time, and each row's sum
+    is the one the whole matrices would give.
     """
-    ia, ib = (np.asarray(s, dtype=np.intp) for s in shared or (range(len(a.z)), range(len(b.z))))
+    ia, ib = (np.asarray(s, dtype=np.intp) for s in shared)
     z = a.z[ia]
     if z.shape != ib.shape or not np.allclose(z, b.z[ib], rtol=0.0, atol=1e-12):
         raise ValueError("mismatched sampling: records must share their z values")
@@ -121,19 +120,17 @@ def compare(a, b, shared=None, x=None, hbar: float = 1.0) -> ComparisonReport:
     # norms near overflow give an inf or nan error, which the report shows
     with np.errstate(over="ignore", invalid="ignore"):
         norm_err = np.abs(a.norm[ia] - norm_b) / denom
-    l2 = np.full(z.shape, np.nan)
-    if x is not None:
-        for block in _blocks(len(l2)):
-            diff = a.intensity_rows(x, hbar, ia[block]) - b.intensity_rows(x, hbar, ib[block])
-            diff *= diff
-            l2[block] = diff.sum(axis=1)
-        l2 = np.sqrt(l2 * (x[1] - x[0]))
+    l2 = np.empty(z.shape)
+    for block in _blocks(len(l2)):
+        diff = a.intensity_rows(x, hbar, ia[block]) - b.intensity_rows(x, hbar, ib[block])
+        diff *= diff
+        l2[block] = diff.sum(axis=1)
+    l2 = np.sqrt(l2 * (x[1] - x[0]))
     table = np.column_stack([z, q_err, norm_err, l2])
-    mean_l2 = float(np.mean(l2)) if not np.all(np.isnan(l2)) else math.nan
     return ComparisonReport(
         sup_q_error=float(q_err.max()),
         sup_norm_rel_error=float(norm_err.max()),
-        renormalized_intensity_l2=mean_l2,
+        renormalized_intensity_l2=float(np.mean(l2)),
         samples=table,
     )
 

@@ -55,21 +55,13 @@ def scenario_library() -> dict:
         alt = f"{name}-alt"
         lib[alt] = _scenario(alt, _tanh_potential(eta), q0=q0, p0=0.0, b0=0.5j)
 
-    # large displacement into the loss region, with and without gain-loss
-    for name, b0 in (("fig4-top", 1j), ("fig4-bottom", 0.5j)):
-        lib[name] = _scenario(name, _tanh_potential(10.0), q0=-4.0, p0=0.0, b0=b0)
-        herm = f"{name}-hermitian"
-        lib[herm] = _scenario(
-            herm, _tanh_potential(10.0, hermitian=True), q0=-4.0, p0=0.0, b0=b0
-        )
-
-    # same comparison closer to the gain-loss slope
-    for name, b0 in (("fig5-top", 1j), ("fig5-bottom", 0.5j)):
-        lib[name] = _scenario(name, _tanh_potential(10.0), q0=-1.0, p0=0.0, b0=b0)
-        herm = f"{name}-hermitian"
-        lib[herm] = _scenario(
-            herm, _tanh_potential(10.0, hermitian=True), q0=-1.0, p0=0.0, b0=b0
-        )
+    # with and without gain-loss: fig4 at a large displacement into the
+    # loss region, fig5 closer to the gain-loss slope
+    for family, q0 in (("fig4", -4.0), ("fig5", -1.0)):
+        for name, b0 in ((f"{family}-top", 1j), (f"{family}-bottom", 0.5j)):
+            for suffix, hermitian in (("", False), ("-hermitian", True)):
+                potential = _tanh_potential(10.0, hermitian=hermitian)
+                lib[name + suffix] = _scenario(name + suffix, potential, q0=q0, p0=0.0, b0=b0)
 
     # width-dependent fate of beams launched with the stationary momentum
     for name, b0 in (("fig6-top", 0.5j), ("fig6-mid", 1j), ("fig6-bottom", 2j)):

@@ -292,7 +292,8 @@ class TestCenterEvolution:
 
 
 class TestNormQuadrature:
-    # N(z) / N0 = exp(gamma integral_0^z q ds), the integral by adaptive Simpson
+    # N(z) / N0 = exp(gamma integral_0^z q ds), the integral by adaptive Simpson,
+    # or by mpmath's quadrature where it is the reference for norm_ratio
     def test_zero_center(self):
         assert math.exp(1.0 * adaptive_simpson(lambda z: 0.0, 0.0, 10.0)) == 1.0
 
@@ -304,14 +305,14 @@ class TestNormQuadrature:
     def test_closed_form_matches_quadrature(self):
         sol = center_solution(1.0, 0.3, 0.4 + 0.8j, 1.2, 1.0)
         for z in (0.5, 2.0, 7.7):
-            quad = math.exp(1.2 * adaptive_simpson(lambda s: float(sol.q(s)), 0.0, z))
+            quad = math.exp(1.2 * mpmath.quad(lambda s: float(sol.q(float(s))), [0.0, z]))
             assert sol.norm_ratio(z) == pytest.approx(quad, rel=1e-10)
 
     def test_stationary_case_closed_form(self):
         for z in (0.0, 1.0, 4.4):
             _, _, want = stationary_width(1.5, 0.2, 0.9, 1.0, z)
             sol = center_solution(1.5, 0.2, 1j, 0.9, 1.0)
-            got = math.exp(0.9 * adaptive_simpson(lambda s: float(sol.q(s)), 0.0, z))
+            got = math.exp(0.9 * mpmath.quad(lambda s: float(sol.q(float(s))), [0.0, z]))
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_non_finite_rejected(self):

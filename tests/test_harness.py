@@ -126,31 +126,31 @@ class TestCompare:
             z, np.sin(z) + q_offset, zero, zero, 1.0 + 0.1 * z, np.exp(0.1 * z) * norm_factor, zero
         )
 
+    # every sample of two 11-sample records, on these positions
+    ALL, X = (range(11), range(11)), np.linspace(-8.0, 8.0, 256)
+
     def test_self_comparison_is_zero(self):
         a = self.make_record()
-        rep = compare(a, a)
+        rep = compare(a, a, self.ALL, self.X, 1.0)
         assert rep.sup_q_error == 0.0
         assert rep.sup_norm_rel_error == 0.0
-        # no positions, no intensity metric
-        assert math.isnan(rep.renormalized_intensity_l2)
-        rep = compare(a, a, x=np.linspace(-8.0, 8.0, 256))
         assert rep.renormalized_intensity_l2 == 0.0
 
     def test_constant_offset(self):
-        rep = compare(self.make_record(q_offset=0.25), self.make_record())
+        rep = compare(self.make_record(q_offset=0.25), self.make_record(), self.ALL, self.X, 1.0)
         assert rep.sup_q_error == pytest.approx(0.25)
 
     def test_relative_norm_error(self):
-        rep = compare(self.make_record(norm_factor=1.01), self.make_record())
+        rep = compare(self.make_record(norm_factor=1.01), self.make_record(), self.ALL, self.X, 1.0)
         assert rep.sup_norm_rel_error == pytest.approx(0.01)
 
     def test_mismatched_sampling_rejected(self):
         a = self.make_record()
         b = self.make_record(z=np.linspace(0, 5, 11) + 0.1)
         with pytest.raises(ValueError, match="mismatched sampling"):
-            compare(a, b)
+            compare(a, b, self.ALL, self.X, 1.0)
         with pytest.raises(ValueError, match="mismatched sampling"):
-            compare(a, self.make_record(z=np.linspace(0, 5, 6)))
+            compare(a, self.make_record(z=np.linspace(0, 5, 6)), (range(11), range(6)), self.X, 1.0)
 
     def test_shared_samples_only(self):
         # every other sample of a sits at a sample of b
@@ -182,7 +182,7 @@ class TestRunScenario:
         )
         result = run_scenario(cfg)
         assert result.reports[("gaussian", "oracle")].sup_q_error <= 1e-9
-        assert np.all(result.series["oracle"].norm == 1.0)
+        assert np.all(result.records["oracle"].norm == 1.0)
 
     def test_trajectories_record_the_step_taken(self):
         # z_max = 1 at dz = 0.3 takes three steps of 1/3
@@ -254,7 +254,7 @@ class TestRunScenario:
         result = run_scenario(cfg, out_dir=str(tmp_path / "abort"))
         assert [a.propagator for a in result.aborts] == ["grid"]
         assert result.aborts[0].z_reached is not None
-        assert "gaussian" in result.series
+        assert "gaussian" in result.records
         manifest = (tmp_path / "abort" / "manifest.txt").read_text()
         assert "aborts" in manifest
 
@@ -294,7 +294,7 @@ class TestRunScenario:
         [abort] = result.aborts
         assert abort.propagator == "gaussian" and "Im B" in abort.reason
         assert 0.0 < abort.z_reached < 0.01
-        assert result.series["gaussian"].z[0] == 0.0
+        assert result.records["gaussian"].z[0] == 0.0
 
     def test_oracle_going_non_finite_is_an_abort(self):
         # Im b0 = 1e-300 passes the width rule, but the closed forms' width
@@ -310,7 +310,7 @@ class TestRunScenario:
         [abort] = result.aborts
         assert abort.propagator == "oracle" and "non-finite" in abort.reason
         assert abort.z_reached == 0.0
-        assert len(result.series["oracle"].z) == 0
+        assert len(result.records["oracle"].z) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -598,7 +598,7 @@ class TestScenarioLibrary:
                 result = run_scenario(lib[name])
                 assert not result.aborts, f"{name} aborted: {result.aborts}"
                 for prop in lib[name].propagators:
-                    assert prop in result.series, f"{name} missing {prop}"
+                    assert prop in result.records, f"{name} missing {prop}"
 
     @pytest.mark.parametrize(
         "name, n_points, dz, z_max", [("fig6-top", 512, 1e-2, 30.0), ("fig2c", 1024, 1e-3, 5.0)]

@@ -14,6 +14,10 @@ Every module-level private function, class or constant in ``src/gainbeam``
 is read by some module there, so a helper whose last caller is deleted
 goes with it.
 
+No module in ``src/gainbeam`` reads what only the benchmark still reads:
+``Trajectory.zs``, ``ScenarioResult.series``, ``adaptive_simpson`` and
+``TRAJECTORY_COLUMNS``, so each goes once the benchmark stops reading it.
+
 No module in ``src/gainbeam`` has a ``global`` statement: state that a
 function sets goes to its callers as arguments.
 
@@ -169,6 +173,62 @@ def test_the_check_finds_a_dead_helper():
     )
     b = "from . import a\nfrom .a import _shared\n\ndef g():\n    return a._as_attribute()\n"
     assert dead_helpers([a, b]) == ["_Orphan", "_UNUSED", "_recursive"]
+
+
+# read as attributes (.zs, .series) or as names, imported or loaded
+BENCH_ONLY_ATTRIBUTES = ("zs", "series")
+BENCH_ONLY_NAMES = ("adaptive_simpson", "TRAJECTORY_COLUMNS")
+
+
+def bench_only_reads(source: str) -> list:
+    """(line, name) of each read in ``source`` of a name that only the benchmark reads.
+
+    A read is a load of ``BENCH_ONLY_ATTRIBUTES`` as an attribute, or a
+    load or import of ``BENCH_ONLY_NAMES``. Definitions and ``__all__`` are
+    not reads, and a function's or class's reads of its own name do not count.
+    """
+    found = []
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names, watched = [node.attr], BENCH_ONLY_ATTRIBUTES + BENCH_ONLY_NAMES
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names, watched = [node.id], BENCH_ONLY_NAMES
+        elif isinstance(node, ast.ImportFrom):
+            names, watched = [a.name for a in node.names], BENCH_ONLY_NAMES
+        else:
+            names, watched = [], ()
+        found.extend((node.lineno, n) for n in names if n in watched and n not in own)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), frozenset())
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_bench_only_reads(path):
+    assert bench_only_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_bench_only_read():
+    source = (
+        "from .closed_forms import adaptive_simpson as simpson\n"
+        "from . import harness\n"
+        "__all__ = ['adaptive_simpson', 'TRAJECTORY_COLUMNS']\n"
+        "TRAJECTORY_COLUMNS = ('z', 'q')\n"
+        "def adaptive_simpson(f, a, b):\n    return -adaptive_simpson(f, b, a)\n"
+        "class Trajectory:\n    def zs(self):\n        return self.z\n"
+        "def run(result, series, zs):\n"
+        "    series = dict(result.series)\n"
+        "    result.zs = zs\n"
+        "    return result.records[0].zs, harness.TRAJECTORY_COLUMNS, series, zs\n"
+    )
+    assert bench_only_reads(source) == [
+        (1, "adaptive_simpson"), (11, "series"), (13, "TRAJECTORY_COLUMNS"), (13, "zs"),
+    ]
 
 
 def global_statements(source: str) -> list:
