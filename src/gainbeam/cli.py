@@ -24,16 +24,18 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
-def _add_run_flags(parser):
+def _add_flags(parser, overrides: bool):
+    """--out-dir and --quiet, and between them a scenario's ``overrides``."""
     parser.add_argument("--out-dir", default=None, help="output directory")
-    parser.add_argument("--dz", type=float, default=None,
-                        help="override the step of every propagator")
-    parser.add_argument("--grid-points", type=int, default=None,
-                        help="override the grid point count (power of two)")
-    parser.add_argument("--z-max", type=float, default=None,
-                        help="override the propagation distance")
-    parser.add_argument("--heatmap", action="store_true", default=None,
-                        help="also write renormalized-intensity heatmaps")
+    if overrides:
+        parser.add_argument("--dz", type=float, default=None,
+                            help="override the step of every propagator")
+        parser.add_argument("--grid-points", type=int, default=None,
+                            help="override the grid point count (power of two)")
+        parser.add_argument("--z-max", type=float, default=None,
+                            help="override the propagation distance")
+        parser.add_argument("--heatmap", action="store_true", default=None,
+                            help="also write renormalized-intensity heatmaps")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -46,27 +48,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario config file")
     run.add_argument("config", help="path to a scenario JSON file")
-    _add_run_flags(run)
+    _add_flags(run, overrides=True)
 
     builtin = sub.add_parser("run-builtin", help="run a built-in scenario")
     builtin.add_argument("name", help="built-in scenario name (see `gainbeam list`)")
-    _add_run_flags(builtin)
+    _add_flags(builtin, overrides=True)
 
     sub.add_parser("list", help="list built-in scenarios")
 
     filt = sub.add_parser("filter", help="run a width-filtering experiment")
     filt.add_argument("config", help="path to a filter JSON file")
-    filt.add_argument("--out-dir", default=None, help="output directory")
-    filt.add_argument("--quiet", action="store_true", help="suppress progress output")
+    _add_flags(filt, overrides=False)
 
     return parser
 
 
-def _run_scenario_command(config, args) -> int:
+def _run_scenario_command(config, out_dir, args) -> int:
     config = config.with_overrides(
         z_max=args.z_max, dz=args.dz, grid_points=args.grid_points, heatmap=args.heatmap
     )
-    out_dir = args.out_dir if args.out_dir is not None else f"runs/{config.name}"
     result = run_scenario(config, out_dir=out_dir)
     if not args.quiet:
         print(f"scenario {config.name}: propagators {', '.join(config.propagators)}")
@@ -101,9 +101,7 @@ def _command(args) -> int:
             for name in sorted(lib):
                 cfg = lib[name]
                 pot = cfg.potential
-                desc = ", ".join(
-                    f"{k}={pot[k]}" for k in pot if k not in ("kind", "hermitian")
-                )
+                desc = ", ".join(f"{k}={pot[k]}" for k in pot if k not in ("kind", "hermitian"))
                 if pot["hermitian"]:
                     desc += ", hermitian"
                 print(
@@ -111,32 +109,32 @@ def _command(args) -> int:
                     f"p0={cfg.initial.p0}, b0={cfg.initial.b0}"
                 )
             return EXIT_OK
-        if args.command == "run":
-            return _run_scenario_command(load_scenario(args.config), args)
         if args.command == "run-builtin":
             lib = scenario_library()
             if args.name not in lib:
                 raise ConfigError(
                     f"unknown built-in scenario {args.name!r}; see `gainbeam list`"
                 )
-            return _run_scenario_command(lib[args.name], args)
-        if args.command == "filter":
-            config = load_filter(args.config)
-            out_dir = args.out_dir if args.out_dir is not None else f"runs/{config.name}"
-            report = filter_experiment(config, out_dir=out_dir)
-            if not args.quiet:
-                for pair in report.pairs:
-                    rates = ", ".join(
-                        f"{rate:.6g} at z={probe:g}"
-                        for probe, rate in sorted(pair.measured_rates.items())
-                    )
-                    print(
-                        f"beams {pair.index_a}/{pair.index_b}: predicted rate "
-                        f"{pair.predicted_rate:.6g}, measured {rates}, "
-                        f"resolvable at z={pair.resolvability_z}"
-                    )
-            return EXIT_OK
-        raise AssertionError(f"unhandled command {args.command!r}")
+            config = lib[args.name]
+        else:
+            config = (load_filter if args.command == "filter" else load_scenario)(args.config)
+        # the overrides leave the name, so a run's default directory is its config's
+        out_dir = args.out_dir if args.out_dir is not None else f"runs/{config.name}"
+        if args.command != "filter":
+            return _run_scenario_command(config, out_dir, args)
+        report = filter_experiment(config, out_dir=out_dir)
+        if not args.quiet:
+            for pair in report.pairs:
+                rates = ", ".join(
+                    f"{rate:.6g} at z={probe:g}"
+                    for probe, rate in sorted(pair.measured_rates.items())
+                )
+                print(
+                    f"beams {pair.index_a}/{pair.index_b}: predicted rate "
+                    f"{pair.predicted_rate:.6g}, measured {rates}, "
+                    f"resolvable at z={pair.resolvability_z}"
+                )
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -381,7 +381,7 @@ def quadratic_trajectory(
     with np.errstate(all="ignore"):
         sol = center_solution(initial.q, initial.p, initial.b, gamma, omega)
         b = b_evolution(initial.b, omega, z)
-        q, p = sol.q(z), sol.p(z)
+        q, p = sol.q(z), sol.q_dot(z) - gamma / b.imag  # OscillatorSolution.p, from this B
         norm = initial.norm * sol.norm_ratio(z, hbar=hbar)
         alpha = initial.alpha + _phase_change(sol, hbar, z)
     columns = (z, q, p, b.real, b.imag, norm, alpha)

@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .dynamics import valid_width
 from .errors import ConfigError
-from .grid import GridSpec, step_count
+from .grid import GridSpec, schedule, step_count
 from .potentials import (
     DEFAULT_CONSTANTS,
     FreeSpace,
@@ -45,7 +45,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-PROPAGATORS = ("gaussian", "grid", "oracle")
+# the config section whose dz steps each propagator; the oracle samples at RK4's steps
+STEP_SECTION = {"gaussian": "gaussian", "grid": "grid", "oracle": "gaussian"}
+PROPAGATORS = tuple(STEP_SECTION)
 
 _POTENTIALS = {
     "pt_tanh_gaussian": (PtTanhGaussian, ("gamma", "omega", "eta")),
@@ -170,11 +172,6 @@ def _record(cls, item=None):
     return parse
 
 
-def _base_potential(spec: dict) -> Potential:
-    cls, params = _POTENTIALS[spec["kind"]]
-    return cls(**{k: spec[k] for k in params})
-
-
 def _potential(v, name: str) -> dict:
     kind = v.get("kind") if isinstance(v, dict) else None
     if not isinstance(kind, str) or kind not in _POTENTIALS:
@@ -186,12 +183,13 @@ def _potential(v, name: str) -> dict:
     spec = {"kind": kind, **{k: _number(v[k], f"{name}.{k}") for k in params}}
     spec["hermitian"] = _boolean(v.get("hermitian", False), f"{name}.hermitian")
     with _config_errors(f"{name}."):
-        _base_potential(spec)
+        build_potential(spec)
     return spec
 
 
 def build_potential(spec: dict) -> Potential:
-    base = _base_potential(spec)
+    cls, params = _POTENTIALS[spec["kind"]]
+    base = cls(**{k: spec[k] for k in params})
     return hermitian_variant(base) if spec["hermitian"] else base
 
 
@@ -302,11 +300,10 @@ class ScenarioConfig(_Document):
             raise ConfigError("the oracle propagator requires a quadratic_linear potential")
         if {"gaussian", "oracle"} & set(self.propagators):
             _unit_n_zero(self.constants, "the gaussian and oracle propagators")
-            with _config_errors("gaussian."):
-                step_count(self.z_max, self.gaussian.dz)
-        if "grid" in self.propagators:
-            with _config_errors("grid."):
-                step_count(self.z_max, self.grid.dz)
+        # each selected section once, gaussian before grid
+        for section in dict.fromkeys(STEP_SECTION[p] for p in PROPAGATORS if p in self.propagators):
+            with _config_errors(f"{section}."):
+                step_count(self.z_max, getattr(self, section).dz)
         if self.grid.half_width is None:
             grid = replace(self.grid, half_width=_default_half_width(self.potential))
             object.__setattr__(self, "grid", grid)
@@ -320,6 +317,10 @@ class ScenarioConfig(_Document):
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.grid.half_width, self.grid.n_points)
+
+    def schedule(self, name: str):
+        """(n, z_max / n, sample_steps) of propagator ``name``; see gainbeam.grid.schedule."""
+        return schedule(self.z_max, getattr(self, STEP_SECTION[name]).dz, self.sample_stride)
 
     def with_overrides(
         self, z_max=None, dz=None, grid_points=None, heatmap=None

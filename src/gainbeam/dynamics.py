@@ -93,9 +93,9 @@ class Trajectory:
     """The samples of one propagation, one float array per parameter.
 
     z is non-decreasing. A stepped run starts from the initial condition
-    at z = 0, its z increases strictly, and ``dz`` is its step; closed-form
-    samples at arbitrary z carry ``dz`` None. A run is read as its CSV
-    :meth:`columns` and its heatmap :meth:`intensity_rows`.
+    at z = 0 and its z increases strictly; its step is that of the
+    schedule it followed, z_max / n, and is not stored. A run is read as
+    its CSV :meth:`columns` and its heatmap :meth:`intensity_rows`.
     """
 
     z: np.ndarray
@@ -105,7 +105,6 @@ class Trajectory:
     im_b: np.ndarray
     norm: np.ndarray
     alpha: np.ndarray
-    dz: float | None = None
 
     @property
     def zs(self) -> np.ndarray:
@@ -260,7 +259,7 @@ def integrate(
     rows = [(0.0, q, p, br, bi, initial.norm, al)]
 
     def record():
-        return Trajectory(*np.array(rows).T, dz=dz_eff)
+        return Trajectory(*np.array(rows).T)
 
     def collapse(bi, z):
         return WidthCollapseError(f"Im B reached {bi:.6g} at z={z:.6g}", z=z, partial=record())
@@ -316,10 +315,10 @@ def integrate(
 def reconstruct_wavefunction(
     params: GaussianParams,
     grid: GridSpec,
-    z: float = 0.0,
+    *,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> GridState:
-    """Sample the Gaussian ansatz on a grid.
+    """Sample the Gaussian ansatz on a grid, as a GridState (which holds no z).
 
         psi(x) = N (Im B / (pi hbar))^(1/4) exp(i (B/2 (x-q)^2 + p (x-q) + alpha) / hbar)
 
@@ -348,4 +347,4 @@ def reconstruct_wavefunction(
     with np.errstate(over="ignore", invalid="ignore"):
         phase = 0.5 * params.b * u * u + params.p * u + params.alpha
         amps = params.norm * (params.b.imag / (math.pi * hbar)) ** 0.25 * np.exp(1j * phase / hbar)
-    return GridState(grid, amps, z)
+    return GridState(grid, amps)

@@ -124,11 +124,10 @@ class GridSpec:
 
 @dataclass
 class GridState:
-    """Complex field amplitudes psi(x_j) at propagation distance z."""
+    """Complex field amplitudes psi(x_j); no z: a :func:`propagate` call starts its z at 0."""
 
     spec: GridSpec
     amplitudes: np.ndarray
-    z: float = 0.0
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -420,7 +419,7 @@ def propagate(
             table[:, taken] = (step * dz_eff, *moments)
             if matrix is not None:
                 np.divide(density, mass, out=matrix[taken])
-            final = GridState(spec, psi, step * dz_eff)
+            final = GridState(spec, psi)
             taken += 1
             np.multiply(field, half_potential, out=chi)
     run = GridRun(*table[:, :taken], None if matrix is None else matrix[:taken], final)

@@ -27,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .closed_forms import quadratic_trajectory, width_drift_rate
-from .config import FilterConfig, ScenarioConfig, build_potential
+from .config import STEP_SECTION, FilterConfig, ScenarioConfig, build_potential
 from .dynamics import GaussianParams, integrate, reconstruct_wavefunction
 from .errors import ConfigError, NumericalAbortError
 # bench/tracing.py wraps observables and renormalized_intensity by name here
-from .grid import observables, propagate, renormalized_intensity, schedule  # noqa: F401
+from .grid import observables, propagate, renormalized_intensity, step_count  # noqa: F401
 from .outputs import write_csv, write_heatmap_csv, write_manifest
 
 __all__ = [
@@ -174,11 +174,9 @@ def _run_oracle(config: ScenarioConfig, initial: GaussianParams, potential):
     # the closed forms read omega and gamma, which an instrumented potential
     # need not expose
     quad = build_potential(config.potential)
-    _, dz_eff, steps = _schedule(config, "oracle")
-    zs = [k * dz_eff for k in steps]
-    traj = quadratic_trajectory(initial, quad, zs, hbar=config.constants.hbar)
-    traj.dz = dz_eff
-    return traj
+    _, dz_eff, steps = config.schedule("oracle")
+    return quadratic_trajectory(initial, quad, [k * dz_eff for k in steps],
+                                hbar=config.constants.hbar)
 
 
 def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
@@ -191,21 +189,15 @@ def _run_grid(config: ScenarioConfig, initial: GaussianParams, potential):
 
 class _Propagator(NamedTuple):
     run: Callable  # (config, initial, potential) -> Trajectory or GridRun; aborts carry .partial
-    step: str  # config section whose dz sets the sample schedule
     csv: str
 
 
 # in run order; also the order of the output files
 _PROPAGATORS = {
-    "gaussian": _Propagator(_run_gaussian, "gaussian", "gaussian_trajectory.csv"),
-    "oracle": _Propagator(_run_oracle, "gaussian", "oracle_trajectory.csv"),
-    "grid": _Propagator(_run_grid, "grid", "grid_observables.csv"),
+    "gaussian": _Propagator(_run_gaussian, "gaussian_trajectory.csv"),
+    "oracle": _Propagator(_run_oracle, "oracle_trajectory.csv"),
+    "grid": _Propagator(_run_grid, "grid_observables.csv"),
 }
-
-
-def _schedule(config: ScenarioConfig, name: str):
-    dz = getattr(config, _PROPAGATORS[name].step).dz
-    return schedule(config.z_max, dz, config.sample_stride)
 
 
 def _shared_samples(config: ScenarioConfig, name_a: str, name_b: str):
@@ -214,8 +206,8 @@ def _shared_samples(config: ScenarioConfig, name_a: str, name_b: str):
     Sample k of a run with n steps sits at z = k z_max / n, so two samples
     coincide exactly when k_a n_b = k_b n_a.
     """
-    n_a, _, k_a = _schedule(config, name_a)
-    n_b, _, k_b = _schedule(config, name_b)
+    n_a, _, k_a = config.schedule(name_a)
+    n_b, _, k_b = config.schedule(name_b)
     index_b = {k * n_a: j for j, k in enumerate(k_b)}
     ia = [i for i, k in enumerate(k_a) if k * n_b in index_b]
     return ia, [index_b[k_a[i] * n_b] for i in ia]
@@ -275,8 +267,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
         ]
         derived = {}
         for name in records:
-            n_steps, dz_eff, _ = _schedule(config, name)
-            derived[_PROPAGATORS[name].step] = {"n_steps": n_steps, "dz_eff": dz_eff}
+            n_steps, dz_eff, _ = config.schedule(name)
+            derived[STEP_SECTION[name]] = {"n_steps": n_steps, "dz_eff": dz_eff}
         if "grid" in derived:
             derived["grid"]["spacing"] = config.grid_spec().spacing
         report_data = {"aborts": [asdict(a) for a in aborts]}
@@ -353,7 +345,7 @@ def filter_experiment(config: FilterConfig, out_dir: str | None = None) -> Filte
         )
         for b0 in config.widths
     ]
-    zs, dz = trajectories[0].z, trajectories[0].dz
+    zs, dz = trajectories[0].z, config.z_max / step_count(config.z_max, config.dz)
     centers = np.array([t.q for t in trajectories])
     beam_widths = np.array([t.columns(config.constants.hbar)["delta_q"] for t in trajectories])
     del trajectories  # freed before the pair arrays, which take as much memory again

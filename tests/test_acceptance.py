@@ -155,7 +155,7 @@ class TestCriterion2QuadraticOracle:
                     want.q.item(), want.p.item(), complex(want.re_b.item(), want.im_b.item()),
                     want.norm.item(), traj.alpha[-1].item(),
                 ),
-                spec, 10.0,
+                spec,
             )
             err = float(
                 np.linalg.norm(state.amplitudes - ref.amplitudes)

@@ -393,6 +393,8 @@ class TestQuadraticTrajectory:
         sol = center_solution(g0.q, g0.p, g0.b, pot.gamma, pot.omega)
         zs = [0.0, 1e-3, 0.5, 0.5, 3.0, 29.9, 30.0, 1000.0]
         traj = quadratic_trajectory(g0, pot, zs, hbar=0.5)
+        # p is formed from the B the oracle has already formed, with the bits of sol.p
+        assert np.array_equal(traj.p, sol.p(np.array(zs)))
         columns = (getattr(traj, name).tolist() for name in ("z", "q", "p", "re_b", "im_b", "norm"))
         for z, q, p, re_b, im_b, norm in zip(*columns):
             want_b = complex(b_evolution(g0.b, pot.omega, z))

@@ -16,7 +16,7 @@ from gainbeam.dynamics import (
     widths,
 )
 from gainbeam.errors import NarrowGridWarning, NumericalAbortError, WidthCollapseError
-from gainbeam.grid import GridSpec, observables, propagate
+from gainbeam.grid import GridSpec, observables, propagate, step_count
 from gainbeam.potentials import (
     FreeSpace,
     PhysicalConstants,
@@ -217,7 +217,7 @@ def test_rk4_is_exact_to_dz4_on_quadratic(gamma, q, p, re_b, im_b, omega, hbar, 
     pot = QuadraticLinear(omega=omega, gamma=gamma)
     traj = integrate(g0, pot, z, dz=dz, constants=PhysicalConstants(hbar=hbar))
     closed = quadratic_trajectory(g0, pot, traj.z, hbar=hbar)
-    bound = 300 * traj.dz**4 + 1e-12
+    bound = 300 * (z / step_count(z, dz)) ** 4 + 1e-12
     for name in ("q", "p", "re_b", "im_b", "alpha"):
         got, want = getattr(traj, name), getattr(closed, name)
         assert np.all(np.abs(got - want) <= bound * np.maximum(1.0, np.abs(want))), name
@@ -238,7 +238,7 @@ def test_grid_is_exact_to_dz2_on_quadratic(q, p, re_b, im_b, omega, hbar, z, dz)
         pot, z, dz=dz, sample_stride=10**9, constants=constants,
     )
     g = params_at(quadratic_trajectory(g0, pot, [z], hbar=hbar), 0)
-    want = reconstruct_wavefunction(g, spec, z, constants=constants).amplitudes
+    want = reconstruct_wavefunction(g, spec, constants=constants).amplitudes
     err = np.max(np.abs(run.final.amplitudes - want)) / np.max(np.abs(want))
     assert err <= 5 * (z / round(z / dz)) ** 2
 
@@ -444,6 +444,11 @@ class TestReconstruct:
         assert np.allclose(a.amplitudes, 3.0 * b.amplitudes)
         c = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j, alpha=0.7), grid)
         assert np.allclose(c.amplitudes, np.exp(0.7j) * b.amplitudes)
+
+    def test_constants_are_keyword_only(self):
+        # a state holds no z, and a z passed where it stood is an error
+        with pytest.raises(TypeError):
+            reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j), GridSpec(8.0, 256), 0.5)
 
     def test_grid_follows_ansatz_at_small_hbar(self):
         # width, phase and the phase equation's -hbar Im B / 2 all carry hbar

@@ -184,11 +184,33 @@ class TestRunScenario:
         assert result.reports[("gaussian", "oracle")].sup_q_error <= 1e-9
         assert np.all(result.records["oracle"].norm == 1.0)
 
-    def test_trajectories_record_the_step_taken(self):
-        # z_max = 1 at dz = 0.3 takes three steps of 1/3
-        result = run_scenario(small_config(gaussian=GaussianSettings(dz=0.3), sample_stride=1))
-        assert result.records["gaussian"].dz == 1.0 / 3
-        assert result.records["oracle"].dz == 1.0 / 3
+    def test_trajectories_record_the_step_taken(self, tmp_path):
+        # z_max = 1 at dz = 0.3 takes three steps of 1/3, which the manifest
+        # records and both trajectories sample
+        cfg = small_config(gaussian=GaussianSettings(dz=0.3), sample_stride=1)
+        result = run_scenario(cfg, out_dir=str(tmp_path))
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "derived.gaussian.n_steps = 3" in lines
+        assert f"derived.gaussian.dz_eff = {1.0 / 3!r}" in lines
+        for name in ("gaussian", "oracle"):
+            assert result.records[name].z.tolist() == [k * (1.0 / 3) for k in range(4)]
+
+    def test_each_record_sits_on_its_schedule(self):
+        # config.schedule is the one source of z: sample k of a record sits
+        # at steps[k] * dz_eff, the oracle on the gaussian steps
+        cfg = small_config(
+            propagators=("gaussian", "oracle", "grid"),
+            z_max=0.5,
+            gaussian=GaussianSettings(dz=1e-3),
+            grid=GridSettings(half_width=8.0, n_points=256, dz=7e-4),
+            sample_stride=7,
+        )
+        records = run_scenario(cfg).records
+        assert list(records) == ["gaussian", "oracle", "grid"]
+        for name, record in records.items():
+            _, dz_eff, steps = cfg.schedule(name)
+            assert record.z.tolist() == [k * dz_eff for k in steps], name
+        assert len(records["grid"].z) != len(records["gaussian"].z)
 
     @pytest.mark.parametrize("hbar", [1.0, 0.5])
     def test_gaussian_intensity_is_the_closed_form(self, hbar):
