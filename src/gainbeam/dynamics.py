@@ -20,7 +20,8 @@ of the center, which is the effect this package exists to study.
 
 The integrator is fixed-step classical RK4 on the six real components
 (q, p, Re B, Im B, log N, alpha). log N rather than N is integrated so
-that strong gain cannot overflow the state.
+that strong gain cannot overflow the state. Every stage samples the potential
+through one ``Potential.sampler()``, taken once per :func:`integrate` call.
 """
 
 import math
@@ -249,7 +250,8 @@ def integrate(
 
     sampled = set(sample_steps)
     hbar = constants.hbar
-    sample = potential.sample
+    sample = potential.sampler()
+    isfinite = math.isfinite
 
     q, p = initial.q, initial.p
     br, bi = initial.b.real, initial.b.imag
@@ -270,24 +272,24 @@ def integrate(
     # Im B is checked before every stage, at the stage's z; the first stage's
     # check is the previous step's last one, or the initial width check.
     # qs and bis hold the next stage's q and Im B; the 1..4 locals are rates.
+    # z is formed only where it is read: at a sample, an abort or a collapse
     for step in range(1, n_steps + 1):
-        z0 = (step - 1) * dz_eff
         q1, p1, br1, bi1, ln1, al1 = _rates(q, p, br, bi, sample(q), hbar)
         qs, bis = q + half * q1, bi + half * bi1
         if bis <= 0.0:
-            raise collapse(bis, z0 + half)
+            raise collapse(bis, (step - 1) * dz_eff + half)
         q2, p2, br2, bi2, ln2, al2 = _rates(
             qs, p + half * p1, br + half * br1, bis, sample(qs), hbar
         )
         qs, bis = q + half * q2, bi + half * bi2
         if bis <= 0.0:
-            raise collapse(bis, z0 + half)
+            raise collapse(bis, (step - 1) * dz_eff + half)
         q3, p3, br3, bi3, ln3, al3 = _rates(
             qs, p + half * p2, br + half * br2, bis, sample(qs), hbar
         )
         qs, bis = q + h * q3, bi + h * bi3
         if bis <= 0.0:
-            raise collapse(bis, z0 + h)
+            raise collapse(bis, (step - 1) * dz_eff + h)
         q4, p4, br4, bi4, ln4, al4 = _rates(
             qs, p + h * p3, br + h * br3, bis, sample(qs), hbar
         )
@@ -297,18 +299,18 @@ def integrate(
         bi += sixth * (bi1 + 2.0 * bi2 + 2.0 * bi3 + bi4)
         ln += sixth * (ln1 + 2.0 * ln2 + 2.0 * ln3 + ln4)
         al += sixth * (al1 + 2.0 * al2 + 2.0 * al3 + al4)
-        z_now = step * dz_eff
         if not (
-            math.isfinite(q) and math.isfinite(p) and math.isfinite(br)
-            and math.isfinite(bi) and math.isfinite(ln) and math.isfinite(al)
+            isfinite(q) and isfinite(p) and isfinite(br)
+            and isfinite(bi) and isfinite(ln) and isfinite(al)
         ):
+            z_now = step * dz_eff
             raise NumericalAbortError(
                 f"state became non-finite by z={z_now:.6g}", z=z_now, partial=record()
             )
         if bi <= 0.0:
-            raise collapse(bi, z_now)
+            raise collapse(bi, step * dz_eff)
         if step in sampled:
-            rows.append((z_now, q, p, br, bi, _norm_from_log(ln, initial.norm), al))
+            rows.append((step * dz_eff, q, p, br, bi, _norm_from_log(ln, initial.norm), al))
     return record()
 
 

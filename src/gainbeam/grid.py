@@ -24,7 +24,7 @@ step. hbar cancels from C and from the correction to V. The processor is
 applied to second order, I +- eps C + eps^2 C^2 / 2, once to the initial
 field and once at each later sample; the kernel steps the unprocessed
 field, and the sample at z = 0 is the initial field itself. V' and V''
-are read from ``Potential.sample`` at each grid point once per call.
+are read at each grid point through one ``Potential.sampler()`` per call.
 V is complex: its imaginary part turns the potential factor into a real
 gain/loss amplification, and the norm is deliberately never renormalized
 during propagation -- it is one of the primary observables.
@@ -289,14 +289,14 @@ def _mix(multiplier: np.ndarray) -> np.ndarray:
 def _potential_terms(potential: Potential, x: np.ndarray, dz: float, n_zero: float):
     """V_mod and the processor's eps V'' / (2 n0) and eps V' / n0 on the grid, eps = dz^2 / 12.
 
-    V comes from ``potential.value``, V' and V'' from ``potential.sample``
-    at each point. Raises ValueError if any of them is non-finite or
+    V comes from ``potential.value``, V' and V'' from one ``potential.sampler()``
+    mapped over the points. Raises ValueError if any of them is non-finite or
     dz^2 max|V''| / n0 >= 1.
     """
     n = len(x)
     v = np.asarray(potential.value(x), dtype=complex)
     # each sample's fields (v, v', v'') as three complex numbers
-    table = np.fromiter(chain.from_iterable(map(potential.sample, x.tolist())), float, 6 * n)
+    table = np.fromiter(chain.from_iterable(map(potential.sampler(), x.tolist())), float, 6 * n)
     dv, d2v = table.view(complex).reshape(n, 3)[:, 1:].T
     slope = dz * dv
     v_mod = v - slope * slope / (24.0 * n_zero)
@@ -327,8 +327,8 @@ def propagate(
     The step is the processed Strang step of the module docstring: each
     sample after the first is exp(eps C) S^k exp(-eps C) psi(0), fourth
     order in the effective step z_max / n, with the processor applied to
-    second order in eps = dz^2 / 12. V' and V'' come from
-    ``potential.sample`` at each grid point, once per call.
+    second order in eps = dz^2 / 12. V' and V'' come from one
+    ``potential.sampler()`` per call, read at each grid point.
 
     Samples follow :func:`schedule`: the first is the initial state at
     z = 0 and the last lands exactly on z_max. Each is measured in the

@@ -3,10 +3,14 @@
 A potential here is a smooth, z-independent map x -> V_R(x) + i V_I(x).
 The real part confines or deflects the beam; the imaginary part models
 gain (V_I > 0) and loss (V_I < 0). Propagators see a potential through
-two views only:
+three views only:
 
 * ``sample(q)`` -- value and first two derivatives of both parts at a
-  single point, consumed by the Gaussian parameter dynamics;
+  single point, as a :class:`PotentialSample`;
+* ``sampler()`` -- a function of q giving the same six numbers as a plain
+  tuple, with the potential's constants bound once; the Gaussian
+  parameter dynamics and the grid's V' and V'' read the potential
+  through it;
 * ``value(x)``  -- complex values on a whole grid, consumed by the
   split-operator solver.
 
@@ -16,7 +20,7 @@ evaluated millions of times and must be smooth to machine precision.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -69,15 +73,40 @@ class Potential:
     """Base class for smooth complex potentials of one transverse coordinate.
 
     Instances are immutable after construction and may be shared freely
-    between concurrent propagations.
+    between concurrent propagations. A custom potential needs only
+    ``sample`` and ``value``; it overrides ``sampler`` for speed.
     """
 
     def sample(self, q: float) -> PotentialSample:
         raise NotImplementedError
 
+    def sampler(self):
+        """A function of q giving the six fields of ``sample(q)`` in order, bit for bit,
+        to be taken once per loop; by default ``sample`` itself."""
+        return self.sample
+
     def value(self, x):
         """Complex V on an array of positions."""
         raise NotImplementedError
+
+
+# skips the NamedTuple constructor, half its cost; bound once, as the lookup costs as much
+_new_tuple = tuple.__new__
+
+
+class _ClosurePotential(Potential):
+    """A potential whose one formula is its ``sampler`` closure, built once per instance
+    by this ``__post_init__`` (called last by a subclass's own); ``sample`` wraps it."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_bound", self.sampler())
+
+    def sample(self, q: float) -> PotentialSample:
+        return _new_tuple(PotentialSample, self._bound(q))
+
+    def __reduce__(self):
+        # a closure does not pickle: a copy is built anew from the fields
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _check_scale(name: str, x: float):
@@ -87,7 +116,7 @@ def _check_scale(name: str, x: float):
 
 
 @dataclass(frozen=True)
-class PtTanhGaussian(Potential):
+class PtTanhGaussian(_ClosurePotential):
     """Gaussian well of depth eta^2 with an odd tanh gain-loss profile.
 
         V(x) = -(1 - i (gamma/eta) tanh(x/eta)) * eta^2 * exp(-omega^2 x^2 / (2 eta^2))
@@ -111,35 +140,39 @@ class PtTanhGaussian(Potential):
         _check_scale("omega", self.omega)
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
+        super().__post_init__()
 
-    def sample(self, q: float) -> PotentialSample:
-        eta = self.eta
-        w2 = self.omega * self.omega
-        # envelope g = eta^2 exp(-omega^2 x^2 / (2 eta^2)) and derivatives
-        e = math.exp(-w2 * q * q / (2.0 * eta * eta))
-        g = eta * eta * e
-        # odd factor t = tanh(x/eta) and derivatives
-        t = math.tanh(q / eta)
-        c = self.gamma / eta
-        if e == 0.0:
-            # every field carries the envelope, which underflowed; its large
-            # factors would make inf * 0 = NaN of the derivatives
-            return tuple.__new__(PotentialSample, (-g, c * t * g, 0.0, 0.0, 0.0, 0.0))
-        dg = -w2 * q * e
-        # at q = 0 the curvature term is 0 even where w2 * w2 overflows
-        d2g = (-w2 + (w2 * w2 * q * q / (eta * eta) if q else 0.0)) * e
-        sech2 = 1.0 - t * t
-        dt = sech2 / eta
-        d2t = -2.0 * t * sech2 / (eta * eta)
-        # tuple.__new__ skips the NamedTuple constructor: half the cost on this hot path
-        return tuple.__new__(PotentialSample, (
-            -g,  # v_real
-            c * t * g,  # v_imag
-            -dg,  # dv_real
-            c * (dt * g + t * dg),  # dv_imag
-            -d2g,  # d2v_real
-            c * (d2t * g + 2.0 * dt * dg + t * d2g),  # d2v_imag
-        ))
+    def sampler(self):
+        eta, w2, exp, tanh = self.eta, self.omega * self.omega, math.exp, math.tanh
+        c, eta2, two_eta2 = self.gamma / eta, eta * eta, 2.0 * eta * eta
+        minus_w2, w4 = -w2, w2 * w2
+
+        def sample(q):
+            # envelope g = eta^2 exp(-omega^2 x^2 / (2 eta^2)) and derivatives
+            e = exp(minus_w2 * q * q / two_eta2)
+            g = eta2 * e
+            # odd factor t = tanh(x/eta) and derivatives
+            t = tanh(q / eta)
+            if e == 0.0:
+                # every field carries the envelope, which underflowed; its large
+                # factors would make inf * 0 = NaN of the derivatives
+                return (-g, c * t * g, 0.0, 0.0, 0.0, 0.0)
+            dg = minus_w2 * q * e
+            # at q = 0 the curvature term is 0 even where w2 * w2 overflows
+            d2g = (minus_w2 + (w4 * q * q / eta2 if q else 0.0)) * e
+            sech2 = 1.0 - t * t
+            dt = sech2 / eta
+            d2t = -2.0 * t * sech2 / eta2
+            return (
+                -g,  # v_real
+                c * t * g,  # v_imag
+                -dg,  # dv_real
+                c * (dt * g + t * dg),  # dv_imag
+                -d2g,  # d2v_real
+                c * (d2t * g + 2.0 * dt * dg + t * d2g),  # d2v_imag
+            )
+
+        return sample
 
     def value(self, x):
         xs = np.asarray(x, dtype=float)
@@ -149,7 +182,7 @@ class PtTanhGaussian(Potential):
 
 
 @dataclass(frozen=True)
-class QuadraticLinear(Potential):
+class QuadraticLinear(_ClosurePotential):
     """Harmonic well with a linear imaginary slope.
 
         V(x) = omega^2 x^2 / 2 + i gamma x
@@ -168,13 +201,13 @@ class QuadraticLinear(Potential):
         _check_scale("omega", self.omega)
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
+        super().__post_init__()
 
-    def sample(self, q: float) -> PotentialSample:
-        w2 = self.omega * self.omega
+    def sampler(self):
+        w2, gamma = self.omega * self.omega, self.gamma
+        half_w2 = 0.5 * w2
         # fields in order: v_real, v_imag, dv_real, dv_imag, d2v_real, d2v_imag
-        return tuple.__new__(
-            PotentialSample, (0.5 * w2 * q * q, self.gamma * q, w2 * q, self.gamma, w2, 0.0)
-        )
+        return lambda q: (half_w2 * q * q, gamma * q, w2 * q, gamma, w2, 0.0)
 
     def value(self, x):
         xs = np.asarray(x, dtype=float)
@@ -182,11 +215,12 @@ class QuadraticLinear(Potential):
 
 
 @dataclass(frozen=True)
-class FreeSpace(Potential):
+class FreeSpace(_ClosurePotential):
     """V identically zero; free spreading of the beam."""
 
-    def sample(self, q: float) -> PotentialSample:
-        return PotentialSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    def sampler(self):
+        zeros = (0.0,) * 6
+        return lambda q: zeros
 
     def value(self, x):
         return np.zeros(np.asarray(x, dtype=float).shape, dtype=complex)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gainbeam import cli, closed_forms, config, dynamics, grid, harness, outputs
-from gainbeam.potentials import QuadraticLinear
+from gainbeam.potentials import PtTanhGaussian, QuadraticLinear
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -114,3 +114,31 @@ def test_grid_run_counts_its_samples():
         run = grid.propagate(state, QuadraticLinear(1.0, 1.0), z_max, dz=1e-3, sample_stride=stride)
         assert len(run) == len(grid.schedule(z_max, 1e-3, stride)[2])
 
+
+@pytest.mark.parametrize("inner", [QuadraticLinear(1.0, 1.0), PtTanhGaussian(1.0, 1.0, 10.0)],
+                         ids=["quadratic", "tanh"])
+def test_counting_potential_counts_each_rhs_and_changes_no_bit(monkeypatch, inner):
+    # bench/tracing.py's CountingPotential sets only ``sample``, on the
+    # instance; the propagators reach it through the default sampler(), which
+    # is that sample, so dynamics.rhs_calls counts 4 per RK4 step
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.active = True
+    counted = tracing.CountingPotential(inner, tracer)
+    initial = dynamics.GaussianParams(q=0.5, p=-0.2, b=0.1 + 1j)
+    got = dynamics.integrate(initial, counted, 0.1, dz=1e-3, sample_stride=10)
+    want = dynamics.integrate(initial, inner, 0.1, dz=1e-3, sample_stride=10)
+    rhs_calls = 4 * grid.schedule(0.1, 1e-3, 10)[0]
+    assert tracer.counts[("", "sample")] == rhs_calls
+    assert all(np.array_equal(a, b) for a, b in zip(vars(got).values(), vars(want).values()))
+    spec = grid.GridSpec(8.0, 256)
+    state = dynamics.reconstruct_wavefunction(initial, spec)
+    got = grid.propagate(state, counted, 0.05, dz=1e-3, sample_stride=10)
+    want = grid.propagate(state, inner, 0.05, dz=1e-3, sample_stride=10)
+    # the grid reads V' and V'' once at each point
+    assert tracer.counts[("", "sample")] == rhs_calls + spec.n_points
+    for name in ("z", "norm", "mean_q", "mean_p", "delta_q", "edge_mass", "k_edge_mass",
+                 "intensity"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.final.amplitudes, want.final.amplitudes)

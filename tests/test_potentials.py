@@ -1,10 +1,20 @@
+import dataclasses
+import math
+import pickle
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gainbeam.dynamics import GaussianParams, integrate, reconstruct_wavefunction
+from gainbeam.grid import GridSpec, propagate
 from gainbeam.potentials import (
     FreeSpace,
     PhysicalConstants,
     Potential,
+    PotentialSample,
     PtTanhGaussian,
     QuadraticLinear,
     hermitian_variant,
@@ -82,9 +92,12 @@ class TestSamples:
         assert fields(FreeSpace().sample(3.0)) == (0.0,) * 6
 
     def test_base_class_has_no_default_value(self):
-        # a potential that reaches the grid must say how to evaluate itself there
-        with pytest.raises(NotImplementedError):
-            Potential().value(np.zeros(4))
+        # a potential that reaches a propagator must say how to evaluate itself there;
+        # the default sampler is sample itself, so it raises the same and never recurses
+        for read in (lambda p: p.value(np.zeros(4)), lambda p: p.sample(0.0),
+                     lambda p: p.sampler()(0.0)):
+            with pytest.raises(NotImplementedError):
+                read(Potential())
 
     def test_value_matches_sample(self):
         xs = np.linspace(-25, 25, 11)
@@ -93,6 +106,97 @@ class TestSamples:
             for x, vx in zip(xs, v):
                 s = pot.sample(float(x))
                 assert vx == pytest.approx(complex(s.v_real, s.v_imag), abs=1e-12)
+
+
+KINDS = st.one_of(
+    st.builds(PtTanhGaussian, gamma=st.floats(-3.0, 3.0), omega=st.floats(0.1, 10.0),
+              eta=st.floats(0.1, 100.0)),
+    st.builds(QuadraticLinear, omega=st.floats(0.1, 10.0), gamma=st.floats(-3.0, 3.0)),
+    st.just(FreeSpace()),
+)
+# q = 0 and -0 take the curvature term's q == 0 branch, and ±1e300 underflow
+# the tanh envelope for every omega and eta drawn
+POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, 1e3, -1e3, 1e300, -1e300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# at q = NaN the fields of a kind that depend on q, its first N, are NaN
+NAN_FIELDS = {PtTanhGaussian: 6, QuadraticLinear: 3, FreeSpace: 0}
+
+
+def written_out(pot, q):
+    """The six fields as each kind's formula reads with its attributes inline: the
+    reference that binding the constants into a closure must match bit for bit."""
+    if isinstance(pot, FreeSpace):
+        return (0.0,) * 6
+    w2 = pot.omega * pot.omega
+    if isinstance(pot, QuadraticLinear):
+        return (0.5 * w2 * q * q, pot.gamma * q, w2 * q, pot.gamma, w2, 0.0)
+    eta = pot.eta
+    e = math.exp(-w2 * q * q / (2.0 * eta * eta))
+    g = eta * eta * e
+    t = math.tanh(q / eta)
+    c = pot.gamma / eta
+    if e == 0.0:
+        return (-g, c * t * g, 0.0, 0.0, 0.0, 0.0)
+    dg = -w2 * q * e
+    d2g = (-w2 + (w2 * w2 * q * q / (eta * eta) if q else 0.0)) * e
+    sech2 = 1.0 - t * t
+    dt = sech2 / eta
+    d2t = -2.0 * t * sech2 / (eta * eta)
+    return (-g, c * t * g, -dg, c * (dt * g + t * dg), -d2g,
+            c * (d2t * g + 2.0 * dt * dg + t * d2g))
+
+
+class TestSampler:
+    @settings(max_examples=300, deadline=None)
+    @given(pot=KINDS, hermitian=st.booleans(), q=POINTS)
+    @example(pot=TANH, hermitian=False, q=1e3)
+    def test_sampler_is_sample_bit_for_bit(self, pot, hermitian, q):
+        if hermitian:
+            pot = hermitian_variant(pot)
+        got, want = pot.sampler()(q), pot.sample(q)
+        assert type(got) is tuple and type(want) is PotentialSample
+        assert struct.pack("6d", *got) == struct.pack("6d", *want)
+        assert struct.pack("6d", *got) == struct.pack("6d", *written_out(pot, q))
+        if isinstance(pot, PtTanhGaussian) and abs(q) * pot.omega / pot.eta >= 40.0:
+            # exp(-800) underflows, and the underflowed envelope zeroes every derivative
+            assert got[2:] == (0.0,) * 4
+        if math.isnan(q):
+            n = NAN_FIELDS[type(pot)]
+            assert all(math.isnan(v) for v in got[:n])
+            assert not any(math.isnan(v) for v in got[n:])
+
+    @pytest.mark.parametrize("pot", [TANH, QUAD, FreeSpace()], ids=lambda p: type(p).__name__)
+    def test_value_semantics_ignore_the_bound_sampler(self, pot):
+        twin = dataclasses.replace(pot)
+        assert twin == pot and hash(twin) == hash(pot) and repr(twin) == repr(pot)
+        copied = pickle.loads(pickle.dumps(pot))
+        assert copied == pot and copied.sample(1.5) == pot.sample(1.5)
+        if isinstance(pot, QuadraticLinear):
+            assert dataclasses.replace(pot, gamma=2.0).sample(1.5).v_imag == 3.0
+
+    def test_propagators_take_one_sampler_per_call(self):
+        class Tally(Potential):
+            def __init__(self, inner):
+                self.inner, self.taken = inner, 0
+
+            def sample(self, q):
+                return self.inner.sample(q)
+
+            def sampler(self):
+                self.taken += 1
+                return self.inner.sampler()
+
+            def value(self, x):
+                return self.inner.value(x)
+
+        pot = Tally(TANH)
+        integrate(GaussianParams(0.5, 0.0, 1j), pot, z_max=0.1, dz=1e-2)
+        assert pot.taken == 1
+        state = reconstruct_wavefunction(GaussianParams(0.0, 0.0, 1j), GridSpec(8.0, 256))
+        propagate(state, pot, z_max=0.1, dz=1e-2)
+        assert pot.taken == 2
 
 
 class TestDerivativeConsistency:
